@@ -4,7 +4,9 @@ Each family F1..F14 of the classification of defective threefolds gets one
 concrete constructible representative per (k, variant), built from the
 variety combinators, together with the invariant table it must reproduce:
 ambient span r, secant dimension s^(k), defect delta_k, tangential image
-dimension n_k, minimality, and (where meaningful) s^(k+1).
+dimension n_k, minimality, and (where meaningful) s^(k+1).  Everything
+the catalog knows about a family (note, domain, variants, construction
+and row) is one `Family` record in `FAMILIES`.
 
 Three families (F3, F6, F9) need threefolds whose curve sections have
 arithmetic genus 1 or 2; those have no rational parametrization and are
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .linalg import derive_rng
 from .mpoly import MPoly, PolyMap, random_poly
@@ -72,68 +75,25 @@ class SkippedFamily:
     reason: str
 
 
-FAMILIES = ["F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "F10",
-            "F11", "F12", "F13", "F14",
-            "EX_VERONESE_P3", "EX_SEGRE", "EX_TERRACINI_13"]
+@dataclass(frozen=True)
+class Family:
+    """One catalog family: everything the catalog knows about it.
+
+    `make(k, variant, rng)` returns (spec, expected row, k_eval), the
+    secancy order the row refers to; it is None for a family the engine
+    cannot build, whose `note` then gives the reason.  `verify_all` runs
+    `variants`; `optional` ones build only when asked for by name.
+    """
+
+    note: str
+    domain: tuple[int, ...] = ()
+    variants: tuple[str, ...] = ("default",)
+    optional: tuple[str, ...] = ()
+    make: Callable[[int, str, random.Random],
+                   tuple[VarietySpec, Expected, int]] | None = None
+
 
 K_CAP = 5  # keeps every matrix at desk scale
-
-FAMILY_DOMAINS: dict[str, tuple[int, ...]] = {
-    "F1": tuple(range(2, K_CAP + 1)),
-    "F2": (3,),
-    "F3": (),
-    "F4": (4, 5),
-    "F5": (4,),
-    "F6": (),
-    "F7": tuple(range(2, K_CAP + 1)),
-    "F8": (2,),
-    "F9": (),
-    "F10": tuple(range(2, K_CAP + 1)),
-    "F11": tuple(range(2, K_CAP + 1)),
-    "F12": tuple(range(2, K_CAP + 1)),
-    "F13": tuple(range(2, K_CAP + 1)),
-    "F14": tuple(range(2, K_CAP + 1)),
-    "EX_VERONESE_P3": (1,),
-    "EX_SEGRE": (2, 3),
-    "EX_TERRACINI_13": (4,),
-}
-
-FAMILY_VARIANTS: dict[str, tuple[str, ...]] = {
-    "F1": ("point", "line"),
-    "F2": ("uple", "cone"),
-    "F7": ("i0", "i1"),
-    "F12": ("narrow", "wide"),
-    "F13": ("full", "point", "line", "line_secant"),
-}
-
-NOT_CONSTRUCTIBLE_REASONS = {
-    "F3": "needs a threefold with elliptic curve sections (no rational parametrization)",
-    "F6": "needs a threefold with genus-2 curve sections (no rational parametrization)",
-    "F9": "needs a surface with elliptic curve sections (no rational parametrization)",
-}
-
-FAMILY_NOTES = {
-    "F1": "threefold in a cone (vertex a point or a line) over the 2-uple of a "
-          "minimal-degree threefold, realized as quadric sections of the cone",
-    "F2": "2-uple of a cubic hypersurface in P^4, plus the vertex-point cone variant",
-    "F4": "2-uple of a cone with vertex a line over a smooth rational curve of "
-          "degree k in P^(k-1)",
-    "F5": "2-uple of a threefold cut on the smooth quadric in P^5 by a cubic",
-    "F7": "join of the 2-uple of a minimal-degree surface with a linear image "
-          "of it in a P^(k-i) block",
-    "F8": "join of the 2-uple of a cubic surface in P^3 with a pencil image (vertex a line)",
-    "F10": "join of a general rational surface with a linear image in P^(k-1)",
-    "F11": "scroll joining a rational normal curve to a surface scroll spanning "
-           "a 2k-dimensional vertex block",
-    "F12": "like F11 with a (2k-1)-dimensional vertex block",
-    "F13": "2-uple of a minimal-degree threefold in P^(k+2), optionally projected "
-           "from a point or a line (the line possibly secant)",
-    "F14": "diagonal Segre image of a minimal-degree threefold under two point "
-           "projections to P^(k+1)",
-    "EX_VERONESE_P3": "the 2-uple embedding of P^3 in P^9",
-    "EX_SEGRE": "the Segre product P^(k+1) x P^(k+1)",
-    "EX_TERRACINI_13": "P^1 x P^2 embedded by divisors of bidegree (1, 3) in P^19",
-}
 
 
 def _parts(d: int, blocks: int) -> list[int]:
@@ -183,144 +143,162 @@ def _surface_scroll_map(deg_a: int, deg_b: int) -> PolyMap:
     return PolyMap(2, coords)
 
 
-def _build_spec(family: str, k: int, variant: str, rng: random.Random) -> VarietySpec:
-    if family == "F1":
-        base = veronese(minimal_threefold(k - 1), 2)
-        x = random_cone_section(base, 2, rng)
-        if variant == "line":
-            x = random_cone_section(x, 2, rng)
-        return x
-    if family == "F2":
-        y = hypersurface(4, random_poly(5, 3, rng))
-        x = veronese(y, 2)
-        if variant == "cone":
-            x = random_cone_section(x, 2, rng)
-        return x
-    if family == "F4":
-        if variant == "double_line":
-            # Projection of a minimal-degree threefold from a point on the
-            # plane of its degree-2 directrix conic; the conic contracts to
-            # a double line of the image.  Optional variant, not in default
-            # runs.  The directrix block must have degree exactly 2: other
-            # conics sit inside quadric sub-scrolls whose span contains the
-            # center, which would double a whole surface.
-            z = scroll([2] + _parts(k - 2, 2))
-            # The directrix conic (1, t, t^2, 0, ..., 0) spans <e0, e1, e2>.
-            combo = [rng.randrange(1, 10 ** 6) for _ in range(3)]
-            center = [combo + [0] * (z.ambient - 2)]
-            y = project_from(z, center, degree=k)
-            return veronese(y, 2)
+def _defect_one(r: int, n_k: int) -> Expected:
+    """The common row: s^(k) is one short of the span P^r and s^(k+1) fills it."""
+    return Expected(r, r - 1, 1, n_k, r)
+
+
+def _f1(k, variant, rng):
+    x = random_cone_section(veronese(minimal_threefold(k - 1), 2), 2, rng)
+    if variant == "point":
+        return x, _defect_one(4 * k + 2, 1), k
+    return random_cone_section(x, 2, rng), _defect_one(4 * k + 3, 2), k
+
+
+def _f2(k, variant, rng):
+    x = veronese(hypersurface(4, random_poly(5, 3, rng)), 2)
+    if variant == "uple":
+        return x, _defect_one(14, 1), 3
+    return random_cone_section(x, 2, rng), _defect_one(15, 2), 3
+
+
+def _f4(k, variant, rng):
+    if variant == "double_line":
+        # Projection of a minimal-degree threefold from a point on the
+        # plane of its degree-2 directrix conic; the conic contracts to a
+        # double line of the image.  The directrix block must have degree
+        # exactly 2: other conics sit inside quadric sub-scrolls whose span
+        # contains the center, which would double a whole surface.
+        z = scroll([2] + _parts(k - 2, 2))
+        # The directrix conic (1, t, t^2, 0, ..., 0) spans <e0, e1, e2>.
+        combo = [rng.randrange(1, 10 ** 6) for _ in range(3)]
+        y = project_from(z, [combo + [0] * (z.ambient - 2)], degree=k)
+    else:
         curve = project_from(scroll([k]), ("random", 0), rng=rng, degree=k)
         y = cone_over(curve, 1)
-        return veronese(y, 2)
-    if family == "F5":
-        y = on_quadric(random_poly(6, 3, rng))
-        y.degree = 6
-        return veronese(y, 2)
-    if family == "F7":
-        i = 1 if variant == "i1" else 0
-        y2 = veronese(minimal_surface(k), 2)
-        block = random_center(y2.ambient, k - i, rng)
-        return join_linear(y2, block)
-    if family == "F8":
-        s = hypersurface(3, random_poly(4, 3, rng))
-        y2 = veronese(s, 2)
-        return join_linear(y2, random_center(y2.ambient, 1, rng))
-    if family == "F10":
-        s = _general_rational_surface(3 * k + 3, rng)
-        return join_linear(s, random_center(s.ambient, k - 1, rng))
-    if family in ("F11", "F12"):
-        if family == "F11":
-            curve_deg = 2 * k + 2
-            fiber = _surface_scroll_map(k, k - 1)        # spans a 2k-dim block
-        else:
-            curve_deg = (2 * k + 2) if variant == "narrow" else (2 * k + 3)
-            fiber = _surface_scroll_map(k - 1, k - 1)    # spans a (2k-1)-dim block
-        base = scroll([curve_deg]).map
-        return fibered_join(base, fiber)
-    if family == "F13":
-        y2 = veronese(minimal_threefold(k), 2)
-        if variant == "full":
-            return y2
-        if variant == "point":
-            return project_from(y2, ("span", 0), rng=rng)
-        if variant == "line":
-            return project_from(y2, ("span", 1), rng=rng)
-        if variant == "line_secant":
-            return project_from(y2, ("points", 2), rng=rng)
-        raise ValueError(f"unknown F13 variant {variant!r}")
-    if family == "F14":
-        # Two point projections to P^(k+1), each centered at a point of Y
-        # itself, multiplied into the Segre coordinates.  Centering on Y is
-        # what makes the product span exactly P^(4k+3): for centers off Y
-        # the products span one dimension more.
-        y = minimal_threefold(k)
-        points = center_on_points(y, 2, rng)
-        proj = []
-        for q in points:
-            m = [[q[0] if j == i else (-q[i] if j == 0 else 0)
-                  for j in range(y.ambient + 1)] for i in range(1, y.ambient + 1)]
-            proj.append(y.map.compose_linear(m))
-        coords = [a * b for a in proj[0].coords for b in proj[1].coords]
-        return Parametric(PolyMap(3, coords))
-    if family == "EX_VERONESE_P3":
-        return veronese(projective_space(3), 2)
-    if family == "EX_SEGRE":
-        return segre_pair(projective_space(k + 1), projective_space(k + 1))
-    if family == "EX_TERRACINI_13":
-        return segre_pair(projective_space(1), veronese(projective_space(2), 3))
-    raise ValueError(f"unknown family {family!r}")
+    return veronese(y, 2), _defect_one(4 * k + 3, 2), k
 
 
-def _expected(family: str, k: int, variant: str) -> tuple[Expected, int]:
-    """The invariant table row plus the secancy order it refers to."""
-    if family == "F1":
-        if variant == "point":
-            return Expected(4 * k + 2, 4 * k + 1, 1, 1, 4 * k + 2), k
-        return Expected(4 * k + 3, 4 * k + 2, 1, 2, 4 * k + 3), k
-    if family == "F2":
-        if variant == "uple":
-            return Expected(14, 13, 1, 1, 14), 3
-        return Expected(15, 14, 1, 2, 15), 3
-    if family == "F4":
-        return Expected(4 * k + 3, 4 * k + 2, 1, 2, 4 * k + 3), k
-    if family == "F5":
-        return Expected(19, 18, 1, 2, 19), 4
-    if family == "F7":
-        i = 1 if variant == "i1" else 0
-        return Expected(4 * k + 3 - i, 4 * k + 2 - i, 1, 2 - i, 4 * k + 3 - i), k
-    if family == "F8":
-        return Expected(11, 10, 1, 2, 11), 2
-    if family == "F10":
-        return Expected(4 * k + 3, 4 * k + 2, 1, 2, 4 * k + 3), k
-    if family == "F11":
-        return Expected(4 * k + 3, 4 * k + 2, 1, 2, 4 * k + 3), k
-    if family == "F12":
-        if variant == "narrow":
-            return Expected(4 * k + 2, 4 * k + 1, 1, 1, 4 * k + 2), k
-        return Expected(4 * k + 3, 4 * k + 1, 2, 1, 4 * k + 3), k
-    if family == "F13":
-        # The full 2-uple is also (k+1)-defective: s^(k+1) stops at 4k+4 < r.
-        r = {"full": 4 * k + 5, "point": 4 * k + 4,
-             "line": 4 * k + 3, "line_secant": 4 * k + 3}[variant]
-        s_next = 4 * k + 4 if variant in ("full", "point") else 4 * k + 3
-        return Expected(r, 4 * k + 2, 1, 2, s_next), k
-    if family == "F14":
-        return Expected(4 * k + 3, 4 * k + 2, 1, 2, 4 * k + 3), k
-    if family == "EX_VERONESE_P3":
-        return Expected(9, 6, 1, 2, 8), 1
-    if family == "EX_SEGRE":
-        # Secants of a Segre square are bounded-rank matrix loci:
-        # s^(h) = r - (k + 1 - h)^2 until that fills the ambient space.
-        r = (k + 2) ** 2 - 1
-        return Expected(r, r - k * k, 2, 2 * k, r - (k - 1) ** 2), 1
-    if family == "EX_TERRACINI_13":
-        return Expected(19, 18, 1, 2, 19), 4
-    raise ValueError(f"unknown family {family!r}")
+def _f5(k, variant, rng):
+    y = on_quadric(random_poly(6, 3, rng))
+    y.degree = 6
+    return veronese(y, 2), _defect_one(19, 2), 4
 
 
-def default_variant(family: str) -> str:
-    return FAMILY_VARIANTS.get(family, ("default",))[0]
+def _f7(k, variant, rng):
+    i = 1 if variant == "i1" else 0
+    y2 = veronese(minimal_surface(k), 2)
+    x = join_linear(y2, random_center(y2.ambient, k - i, rng))
+    return x, _defect_one(4 * k + 3 - i, 2 - i), k
+
+
+def _f8(k, variant, rng):
+    y2 = veronese(hypersurface(3, random_poly(4, 3, rng)), 2)
+    return join_linear(y2, random_center(y2.ambient, 1, rng)), _defect_one(11, 2), 2
+
+
+def _f10(k, variant, rng):
+    s = _general_rational_surface(3 * k + 3, rng)
+    return join_linear(s, random_center(s.ambient, k - 1, rng)), _defect_one(4 * k + 3, 2), k
+
+
+def _f11(k, variant, rng):
+    fiber = _surface_scroll_map(k, k - 1)  # spans a 2k-dim block
+    return fibered_join(scroll([2 * k + 2]).map, fiber), _defect_one(4 * k + 3, 2), k
+
+
+def _f12(k, variant, rng):
+    fiber = _surface_scroll_map(k - 1, k - 1)  # spans a (2k-1)-dim block
+    if variant == "narrow":
+        return fibered_join(scroll([2 * k + 2]).map, fiber), _defect_one(4 * k + 2, 1), k
+    return (fibered_join(scroll([2 * k + 3]).map, fiber),
+            Expected(4 * k + 3, 4 * k + 1, 2, 1, 4 * k + 3), k)
+
+
+_F13_CENTERS = {"point": ("span", 0), "line": ("span", 1), "line_secant": ("points", 2)}
+
+
+def _f13(k, variant, rng):
+    x = veronese(minimal_threefold(k), 2)
+    if variant != "full":
+        x = project_from(x, _F13_CENTERS[variant], rng=rng)
+    # The full 2-uple is also (k+1)-defective: s^(k+1) stops at 4k+4 < r.
+    r = {"full": 4 * k + 5, "point": 4 * k + 4}.get(variant, 4 * k + 3)
+    return x, Expected(r, 4 * k + 2, 1, 2, min(r, 4 * k + 4)), k
+
+
+def _f14(k, variant, rng):
+    # Two point projections to P^(k+1), each centered at a point of Y
+    # itself, multiplied into the Segre coordinates.  Centering on Y is
+    # what makes the product span exactly P^(4k+3): for centers off Y the
+    # products span one dimension more.
+    y = minimal_threefold(k)
+    proj = []
+    for q in center_on_points(y, 2, rng):
+        m = [[q[0] if j == i else (-q[i] if j == 0 else 0)
+              for j in range(y.ambient + 1)] for i in range(1, y.ambient + 1)]
+        proj.append(y.map.compose_linear(m))
+    coords = [a * b for a in proj[0].coords for b in proj[1].coords]
+    return Parametric(PolyMap(3, coords)), _defect_one(4 * k + 3, 2), k
+
+
+def _ex_segre(k, variant, rng):
+    # Secants of a Segre square are bounded-rank matrix loci:
+    # s^(h) = r - (k + 1 - h)^2 until that fills the ambient space.
+    r = (k + 2) ** 2 - 1
+    return (segre_pair(projective_space(k + 1), projective_space(k + 1)),
+            Expected(r, r - k * k, 2, 2 * k, r - (k - 1) ** 2), 1)
+
+
+_ALL_K = tuple(range(2, K_CAP + 1))
+
+FAMILIES: dict[str, Family] = {
+    "F1": Family("threefold in a cone (vertex a point or a line) over the 2-uple of a "
+                 "minimal-degree threefold, realized as quadric sections of the cone",
+                 _ALL_K, ("point", "line"), make=_f1),
+    "F2": Family("2-uple of a cubic hypersurface in P^4, plus the vertex-point cone variant",
+                 (3,), ("uple", "cone"), make=_f2),
+    "F3": Family("needs a threefold with elliptic curve sections (no rational "
+                 "parametrization)"),
+    "F4": Family("2-uple of a cone with vertex a line over a smooth rational curve of "
+                 "degree k in P^(k-1)", (4, 5), optional=("double_line",), make=_f4),
+    "F5": Family("2-uple of a threefold cut on the smooth quadric in P^5 by a cubic",
+                 (4,), make=_f5),
+    "F6": Family("needs a threefold with genus-2 curve sections (no rational "
+                 "parametrization)"),
+    "F7": Family("join of the 2-uple of a minimal-degree surface with a linear image "
+                 "of it in a P^(k-i) block", _ALL_K, ("i0", "i1"), make=_f7),
+    "F8": Family("join of the 2-uple of a cubic surface in P^3 with a pencil image "
+                 "(vertex a line)", (2,), make=_f8),
+    "F9": Family("needs a surface with elliptic curve sections (no rational "
+                 "parametrization)"),
+    "F10": Family("join of a general rational surface with a linear image in P^(k-1)",
+                  _ALL_K, make=_f10),
+    "F11": Family("scroll joining a rational normal curve to a surface scroll spanning "
+                  "a 2k-dimensional vertex block", _ALL_K, make=_f11),
+    "F12": Family("like F11 with a (2k-1)-dimensional vertex block",
+                  _ALL_K, ("narrow", "wide"), make=_f12),
+    "F13": Family("2-uple of a minimal-degree threefold in P^(k+2), optionally projected "
+                  "from a point or a line (the line possibly secant)",
+                  _ALL_K, ("full", "point", "line", "line_secant"), make=_f13),
+    "F14": Family("diagonal Segre image of a minimal-degree threefold under two point "
+                  "projections to P^(k+1)", _ALL_K, make=_f14),
+    "EX_VERONESE_P3": Family(
+        "the 2-uple embedding of P^3 in P^9", (1,),
+        make=lambda k, variant, rng: (veronese(projective_space(3), 2),
+                                      Expected(9, 6, 1, 2, 8), 1)),
+    "EX_SEGRE": Family("the Segre product P^(k+1) x P^(k+1)", (2, 3), make=_ex_segre),
+    "EX_TERRACINI_13": Family(
+        "P^1 x P^2 embedded by divisors of bidegree (1, 3) in P^19", (4,),
+        make=lambda k, variant, rng: (
+            segre_pair(projective_space(1), veronese(projective_space(2), 3)),
+            _defect_one(19, 2), 4)),
+}
+
+# Flat views of the table, for callers that want one column.
+FAMILY_DOMAINS = {name: f.domain for name, f in FAMILIES.items()}
+FAMILY_VARIANTS = {name: f.variants for name, f in FAMILIES.items()}
+NOT_CONSTRUCTIBLE_REASONS = {name: f.note for name, f in FAMILIES.items() if f.make is None}
 
 
 def build_family(family: str, k: int, variant: str | None = None,
@@ -328,26 +306,24 @@ def build_family(family: str, k: int, variant: str | None = None,
     """Build the representative spec and expected table for (family, k, variant).
 
     Raises NotConstructible for F3/F6/F9 and for k outside the family's
-    constructible domain.
+    constructible domain, and ValueError for an unknown family or variant.
     """
-    if family not in FAMILIES:
+    fam = FAMILIES.get(family)
+    if fam is None:
         raise ValueError(f"unknown family {family!r}")
-    if family in NOT_CONSTRUCTIBLE_REASONS:
-        raise NotConstructible(NOT_CONSTRUCTIBLE_REASONS[family])
-    domain = FAMILY_DOMAINS[family]
-    if k not in domain:
+    if fam.make is None:
+        raise NotConstructible(fam.note)
+    if k not in fam.domain:
         raise NotConstructible(
-            f"{family} has no representative at k={k} (constructible k: {list(domain)})")
-    variant = variant or default_variant(family)
-    if variant not in FAMILY_VARIANTS.get(family, (variant,)):
+            f"{family} has no representative at k={k} (constructible k: {list(fam.domain)})")
+    variant = variant or fam.variants[0]
+    if variant not in fam.variants + fam.optional:
         raise ValueError(f"unknown variant {variant!r} for {family}")
     if rng is None:
         rng = derive_rng(0, "catalog", family, k, variant)
-    spec = _build_spec(family, k, variant, rng)
-    expected, k_eval = _expected(family, k, variant)
+    spec, expected, k_eval = fam.make(k, variant, rng)
     return CatalogEntry(family=family, k=k, variant=variant, spec=spec,
-                        expected=expected, k_eval=k_eval,
-                        note=FAMILY_NOTES.get(family, ""))
+                        expected=expected, k_eval=k_eval, note=fam.note)
 
 
 def verify_family(entry: CatalogEntry, ctxs, rng: random.Random,
@@ -390,19 +366,17 @@ def verify_all(k_range, ctxs, rng: random.Random | None = None,
     if any(k < 1 or k > K_CAP for k in ks):
         raise ValueError(f"k range must stay within [1, {K_CAP}]")
     out: list[VerifyResult | SkippedFamily] = []
-    for family in FAMILIES:
-        domain = FAMILY_DOMAINS.get(family, ())
-        if family in NOT_CONSTRUCTIBLE_REASONS:
-            for k in ks:
-                out.append(SkippedFamily(family, k, NOT_CONSTRUCTIBLE_REASONS[family]))
-            continue
+    for family, fam in FAMILIES.items():
         for k in ks:
-            if k not in domain:
+            if fam.make is None:
+                out.append(SkippedFamily(family, k, fam.note))
+                continue
+            if k not in fam.domain:
                 out.append(SkippedFamily(
                     family, k,
-                    f"no representative at k={k} (constructible k: {list(domain)})"))
+                    f"no representative at k={k} (constructible k: {list(fam.domain)})"))
                 continue
-            for variant in FAMILY_VARIANTS.get(family, ("default",)):
+            for variant in fam.variants:
                 entry = build_family(family, k, variant)
                 run_rng = rng if rng is not None else derive_rng(
                     seed, "verify", family, k, variant)

@@ -29,16 +29,12 @@ from .variety import (SampleExhausted, SpecParseError, VarietySpec,
 class RunConfig:
     seed: int = 0
     trials: int = terracini.DEFAULT_TRIALS
-    prime_bits: int = 62
-    primes_per_run: int = 2
     fmt: str = "json"
     out: str | None = None
 
     def __post_init__(self):
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.prime_bits != 62:
-            raise ValueError("prime_bits is fixed at 62")
+            raise ValueError("--trials must be >= 1")
 
 
 def _write_report(text: str, out: str | None) -> None:
@@ -70,7 +66,7 @@ def _markdown_report(rep: dict) -> str:
 
 
 def _measure(spec: VarietySpec, k: int, k_max: int, cfg: RunConfig) -> dict:
-    ctxs = make_contexts(cfg.seed, cfg.primes_per_run, cfg.prime_bits)
+    ctxs = make_contexts(cfg.seed)
     rng = derive_rng(cfg.seed, "analysis")
     scan = terracini.min_defective_scan(spec, k_max, ctxs, rng, cfg.trials)
     top = scan.reports[k]
@@ -103,8 +99,7 @@ def _measure(spec: VarietySpec, k: int, k_max: int, cfg: RunConfig) -> dict:
     return rep
 
 
-def cmd_analyze(args) -> int:
-    cfg = RunConfig(seed=args.seed, trials=args.trials, fmt=args.format, out=args.out)
+def cmd_analyze(args, cfg: RunConfig) -> int:
     try:
         spec = loads_spec(Path(args.specfile).read_text(encoding="utf-8"))
     except (OSError, SpecParseError, PolyParseError, ValueError) as exc:
@@ -114,6 +109,9 @@ def cmd_analyze(args) -> int:
     k_max = args.k_max if args.k_max is not None else k
     if k > k_max:
         print("error: --k cannot exceed --k-max", file=sys.stderr)
+        return 1
+    if k < 0 or k_max < 1:
+        print("error: --k must be >= 0 and --k-max (default: --k) >= 1", file=sys.stderr)
         return 1
     try:
         rep = _measure(spec, k, k_max, cfg)
@@ -150,23 +148,15 @@ def _entry_report(res: cat.VerifyResult, cfg: RunConfig) -> dict:
     return rep
 
 
-def cmd_catalog(args) -> int:
-    cfg = RunConfig(seed=args.seed, trials=args.trials, fmt=args.format, out=args.out)
+def cmd_catalog(args, cfg: RunConfig) -> int:
     if args.catalog_cmd == "list":
-        rows = []
-        for family in cat.FAMILIES:
-            rows.append({
-                "family": family,
-                "constructible_k": list(cat.FAMILY_DOMAINS.get(family, ())),
-                "variants": list(cat.FAMILY_VARIANTS.get(family, ("default",))),
-                "constructible": family not in cat.NOT_CONSTRUCTIBLE_REASONS,
-                "note": cat.FAMILY_NOTES.get(
-                    family, cat.NOT_CONSTRUCTIBLE_REASONS.get(family, "")),
-            })
+        rows = [{"family": family, "constructible_k": list(fam.domain),
+                 "variants": list(fam.variants), "constructible": fam.make is not None,
+                 "note": fam.note} for family, fam in cat.FAMILIES.items()]
         _write_report(_json_text(rows), cfg.out)
         return 0
 
-    ctxs = make_contexts(cfg.seed, cfg.primes_per_run, cfg.prime_bits)
+    ctxs = make_contexts(cfg.seed)
     if args.catalog_cmd == "verify":
         try:
             entry = cat.build_family(args.family, args.k, args.variant)
@@ -192,6 +182,9 @@ def cmd_catalog(args) -> int:
 
     # verify-all
     lo, hi = args.k_range
+    if not 1 <= lo <= hi <= cat.K_CAP:
+        print(f"error: --k-range must lie within 1..{cat.K_CAP}", file=sys.stderr)
+        return 1
     try:
         results = cat.verify_all(range(lo, hi + 1), ctxs, trials=cfg.trials,
                                  seed=cfg.seed)
@@ -236,8 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="analyze a .variety.json file")
     pa.add_argument("specfile")
-    group = pa.add_mutually_exclusive_group()
-    group.add_argument("--k", type=int, default=None, help="secancy order to report")
+    pa.add_argument("--k", type=int, default=None, help="secancy order to report")
     pa.add_argument("--k-max", dest="k_max", type=int, default=None,
                     help="scan the whole chain up to this order")
     common(pa)
@@ -267,7 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        cfg = RunConfig(seed=args.seed, trials=args.trials, fmt=args.format, out=args.out)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return args.func(args, cfg)
 
 
 if __name__ == "__main__":

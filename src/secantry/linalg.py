@@ -61,18 +61,6 @@ class PrimeContext:
         if not is_prime_u64(self.p):
             raise ValueError(f"{self.p} is not prime")
 
-    def reduce(self, a: int) -> int:
-        return a % self.p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("no inverse of 0")
-        return pow(a, self.p - 2, self.p)
-
-    def rand(self, rng: random.Random) -> int:
-        return rng.randrange(self.p)
-
 
 def random_prime(bits: int, rng: random.Random, seed_label: str = "") -> PrimeContext:
     """Draw a uniform random prime in [2**(bits-1), 2**bits)."""

@@ -17,10 +17,6 @@ import random
 from dataclasses import dataclass
 
 
-class SingularSample(Exception):
-    """A sampled point gave a degenerate Jacobian (caller should resample)."""
-
-
 class MPoly:
     """Sparse multivariate polynomial with integer coefficients."""
 
@@ -284,24 +280,6 @@ class PolyMap:
 
     def max_degree(self) -> int:
         return max(c.degree() for c in self.coords)
-
-
-def jacobian_at(fmap: PolyMap, point: list[int], p: int) -> list[list[int]]:
-    """Affine-cone tangent frame of a parametrized image at fmap(point).
-
-    Rows are F(t) followed by dF/dt_j(t); the value row accounts for the
-    cone scaling direction.  Raises SingularSample when the rows do not
-    reach full rank nvars+1 (non-generic point; callers resample).
-    """
-    from . import linalg
-
-    value = fmap.eval(point, p)
-    if not any(value):
-        raise SingularSample("map vanishes at the sample point")
-    rows = [value] + fmap.partial_rows(point, p)
-    if linalg.rank(rows, p) < fmap.nvars + 1:
-        raise SingularSample("Jacobian rank below nvars+1")
-    return rows
 
 
 # -- monomial bookkeeping ----------------------------------------------------

@@ -51,9 +51,6 @@ class SecantReport:
     def delta(self, h: int) -> int:
         return expected_secant_dim(self.r, self.n, h) - self.chain[h]
 
-    def is_defective_at(self, h: int) -> bool:
-        return self.delta(h) > 0 and self.chain[h] < self.r
-
 
 @dataclass
 class ScanResult:

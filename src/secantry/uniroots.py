@@ -43,21 +43,23 @@ def poly_mul(f: list[int], g: list[int], p: int) -> list[int]:
     return trim([c % p for c in out])
 
 
-def poly_rem(f: list[int], g: list[int], p: int) -> list[int]:
+def poly_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient q and remainder r of f by g: f = q*g + r with deg r < deg g."""
     g = trim([c % p for c in g])
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    r = [c % p for c in f]
+    r = trim([c % p for c in f])
     dg = len(g) - 1
+    q = [0] * max(len(r) - dg, 0)
     inv_lead = pow(g[-1], -1, p)
-    while len(r) - 1 >= dg and trim(r):
-        dr = len(r) - 1
+    while len(r) > dg:
+        shift = len(r) - 1 - dg
         c = r[-1] * inv_lead % p
-        shift = dr - dg
+        q[shift] = c
         for i, b in enumerate(g):
             r[shift + i] = (r[shift + i] - c * b) % p
         trim(r)
-    return trim(r)
+    return trim(q), r
 
 
 def poly_monic(f: list[int], p: int) -> list[int]:
@@ -72,18 +74,18 @@ def poly_gcd(f: list[int], g: list[int], p: int) -> list[int]:
     a = trim([c % p for c in f])
     b = trim([c % p for c in g])
     while b:
-        a, b = b, poly_rem(a, b, p)
+        a, b = b, poly_divmod(a, b, p)[1]
     return poly_monic(a, p)
 
 
 def poly_powmod(base: list[int], exponent: int, mod: list[int], p: int) -> list[int]:
     result = [1]
-    acc = poly_rem(base, mod, p)
+    acc = poly_divmod(base, mod, p)[1]
     e = exponent
     while e:
         if e & 1:
-            result = poly_rem(poly_mul(result, acc, p), mod, p)
-        acc = poly_rem(poly_mul(acc, acc, p), mod, p)
+            result = poly_divmod(poly_mul(result, acc, p), mod, p)[1]
+        acc = poly_divmod(poly_mul(acc, acc, p), mod, p)[1]
         e >>= 1
     return result
 
@@ -122,22 +124,5 @@ def _split_linear(g: list[int], p: int, rng: random.Random) -> list[int]:
         h = poly_powmod([a, 1], half, g, p)
         d = poly_gcd(poly_sub(h, [1], p), g, p)
         if 0 < len(d) - 1 < deg:
-            other = _quo_exact(g, d, p)
+            other = poly_divmod(g, d, p)[0]
             return _split_linear(d, p, rng) + _split_linear(other, p, rng)
-
-
-def _quo_exact(f: list[int], g: list[int], p: int) -> list[int]:
-    """Exact quotient f // g when g divides f."""
-    f = trim([c % p for c in f])
-    g = trim([c % p for c in g])
-    q = [0] * (len(f) - len(g) + 1)
-    r = list(f)
-    inv_lead = pow(g[-1], -1, p)
-    while len(r) >= len(g) and trim(r):
-        shift = len(r) - len(g)
-        c = r[-1] * inv_lead % p
-        q[shift] = c
-        for i, b in enumerate(g):
-            r[shift + i] = (r[shift + i] - c * b) % p
-        trim(r)
-    return trim(q)

@@ -95,15 +95,6 @@ class VarietySpec:
     def chart(self, ctx: PrimeContext) -> tuple[PolyMap, str]:
         raise NotParametric(f"{type(self).__name__} has no polynomial chart")
 
-    @property
-    def is_parametric(self) -> bool:
-        probe_p = getattr(self, "bound_p", None) or (1 << 61) - 1
-        try:
-            self.chart(PrimeContext(p=probe_p, seed="probe"))
-            return True
-        except NotParametric:
-            return False
-
     # -- serialization -----------------------------------------------------
 
     def to_obj(self) -> dict:
@@ -315,7 +306,7 @@ class ProjectFrom(VarietySpec):
                  bound_p: int | None = None):
         if not center:
             raise ValueError("empty projection center")
-        if len(center[0]) != child.ambient + 1:
+        if any(len(row) != child.ambient + 1 for row in center):
             raise ValueError("center width must be child ambient + 1")
         if len(center) > child.ambient:
             raise ValueError("center cannot fill the ambient space")
@@ -400,7 +391,9 @@ class Hypersurface(VarietySpec):
         if not any(point):
             raise _Resample("zero_point")
         value, grad = self.g.grad_eval(point, p)
-        assert value == 0, "sampled point must satisfy the equation exactly"
+        if value:
+            # A wrong root is a bug, not bad luck: never resample it away.
+            raise ArithmeticError("sampled point does not satisfy the equation")
         if not any(grad):
             raise _Resample("singular_point")
         frame = linalg.kernel_basis([grad], p)
@@ -662,13 +655,6 @@ def hypersurface(m: int, equation: MPoly) -> Hypersurface:
     return Hypersurface(m, equation)
 
 
-def random_hypersurface(m: int, degree: int, rng: random.Random) -> Hypersurface:
-    return Hypersurface(m, random_poly(m + 1, degree, rng))
-
-
-STANDARD_QUADRIC_CHART_NVARS = 4
-
-
 def _standard_quadric_chart() -> PolyMap:
     # Chart of the smooth quadric x1*x2 + x3*x4 - x0*x5 = 0 in P^5,
     # by stereographic projection from (0:...:0:1): t -> (1, t, t1t2+t3t4).
@@ -843,11 +829,6 @@ def span_dim(spec: VarietySpec, ctx: PrimeContext, rng: random.Random,
     return red.rank
 
 
-def effective_r(spec: VarietySpec, ctxs: list[PrimeContext], rng: random.Random) -> int:
-    """Projective dimension of the linear span, maximized across primes."""
-    return max(span_dim(spec, ctx, rng) for ctx in ctxs) - 1
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -855,10 +836,6 @@ def effective_r(spec: VarietySpec, ctxs: list[PrimeContext], rng: random.Random)
 
 class SpecParseError(ValueError):
     pass
-
-
-def spec_to_obj(spec: VarietySpec) -> dict:
-    return spec.to_obj()
 
 
 def spec_from_obj(obj: dict) -> VarietySpec:
@@ -881,8 +858,12 @@ def spec_from_obj(obj: dict) -> VarietySpec:
             return ConeOver(spec_from_obj(obj["child"]), int(obj["vertex_dim"]))
         if op == "project":
             child = spec_from_obj(obj["child"])
-            return ProjectFrom(child, [[int(x) for x in row] for row in obj["center"]],
+            proj = ProjectFrom(child, [[int(x) for x in row] for row in obj["center"]],
                                dim=obj.get("dim"), degree=obj.get("degree"))
+            # Rows dependent over Q stay dependent modulo every prime.
+            if linalg.rank(proj.center, (1 << 61) - 1) != len(proj.center):
+                raise ValueError("center rows are linearly dependent")
+            return proj
         if op == "hypersurface":
             m = int(obj["m"])
             return Hypersurface(m, parse_poly(obj["equation"], m + 1))
@@ -930,7 +911,7 @@ def _max_var_index(poly_strs: list[str]) -> int:
 
 
 def dumps_spec(spec: VarietySpec) -> str:
-    return json.dumps(spec_to_obj(spec), sort_keys=True, separators=(",", ":"))
+    return json.dumps(spec.to_obj(), sort_keys=True, separators=(",", ":"))
 
 
 def loads_spec(text: str) -> VarietySpec:

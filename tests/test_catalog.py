@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
@@ -10,8 +12,29 @@ from secantry.catalog import (FAMILIES, FAMILY_DOMAINS, FAMILY_VARIANTS,
                               Expected, NotConstructible, SkippedFamily,
                               build_family, verify_all, verify_family)
 from secantry.linalg import derive_rng
+from secantry.variety import spec_hash
 
 from conftest import SEED
+
+GOLDEN = Path(__file__).resolve().parent / "catalog_golden.json"
+
+
+def catalog_table() -> dict:
+    """Every build_family(family, k, variant) for k = 1..5, optional variants too."""
+    table = {}
+    for family, fam in FAMILIES.items():
+        for k in range(1, 6):
+            for variant in fam.variants + fam.optional:
+                key = f"{family}/k{k}/{variant}"
+                try:
+                    e = build_family(family, k, variant)
+                except NotConstructible as exc:
+                    table[key] = {"not_constructible": str(exc)}
+                    continue
+                table[key] = {"spec_hash": spec_hash(e.spec), "k_eval": e.k_eval,
+                              "expected": dataclasses.asdict(e.expected),
+                              "variant": e.variant, "note": e.note}
+    return table
 
 
 class TestBuildFamily:
@@ -28,7 +51,6 @@ class TestBuildFamily:
         assert entry.expected == Expected(10, 9, 1, 1, 10)
 
     def test_deterministic_construction(self, ctxs):
-        from secantry.variety import spec_hash
         a = build_family("F10", 2)
         b = build_family("F10", 2)
         assert spec_hash(a.spec) == spec_hash(b.spec)
@@ -45,6 +67,17 @@ class TestBuildFamily:
             build_family("F2", 4)   # the hypersurface family lives at k = 3 only
         with pytest.raises(ValueError):
             build_family("F99", 2)
+
+    def test_unknown_variants_rejected(self):
+        with pytest.raises(ValueError):
+            build_family("F4", 4, "bogus")
+        with pytest.raises(ValueError):
+            build_family("F10", 2, "x")
+
+    def test_golden_table(self):
+        # Spec hashes pin every random draw a construction makes, so this
+        # also pins the order in which each builder consumes its rng.
+        assert catalog_table() == json.loads(GOLDEN.read_text())
 
     def test_double_line_variant(self, ctxs):
         # The optional second branch of F4: same invariant row, different
@@ -103,3 +136,8 @@ class TestVerifyAll:
     def test_rejects_out_of_range(self, ctxs):
         with pytest.raises(ValueError):
             verify_all([7], ctxs)
+
+
+if __name__ == "__main__":
+    # Regenerate the golden table after a deliberate catalog change.
+    GOLDEN.write_text(json.dumps(catalog_table(), indent=1, sort_keys=True) + "\n")

@@ -70,6 +70,19 @@ class TestAnalyze:
                     "--k", "3", "--k-max", "1"])
         assert code == 1
 
+    def test_bad_input_is_one_error_line(self, tmp_path, capsys):
+        dependent = tmp_path / "dependent.variety.json"
+        dependent.write_text('{"op":"project","center":[[1,0,0,0],[2,0,0,0]],'
+                             '"child":{"op":"scroll","degrees":[3]}}')
+        cubic = str(SPECS / "twisted-cubic.variety.json")
+        for args in (["analyze", str(dependent)],
+                     ["analyze", cubic, "--trials", "0"],
+                     ["analyze", cubic, "--k", "-1"],
+                     ["catalog", "verify-all", "--k-range", "0..9"]):
+            assert run(args) == 1, args
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
+
 
 class TestCatalogCommands:
     def test_list(self, tmp_path):
@@ -81,6 +94,7 @@ class TestCatalogCommands:
         assert not by_family["F3"]["constructible"]
         assert by_family["F13"]["variants"] == ["full", "point", "line",
                                                 "line_secant"]
+        assert by_family["F4"]["variants"] == ["default"]
 
     def test_verify_pass(self, tmp_path, capsys):
         out = tmp_path / "rep.json"
@@ -98,6 +112,10 @@ class TestCatalogCommands:
 
     def test_verify_unknown_family_errors(self, capsys):
         assert run(["catalog", "verify", "--family", "F99", "--k", "2"]) == 1
+
+    def test_verify_unknown_variant_errors(self, capsys):
+        assert run(["catalog", "verify", "--family", "F4", "--k", "4",
+                    "--variant", "bogus"]) == 1
 
     def test_verify_all_narrow_range(self, tmp_path, capsys):
         out = tmp_path / "all.json"

@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from secantry.linalg import rank
-from secantry.mpoly import (Jet, MPoly, PolyMap, PolyParseError,
-                            SingularSample, jacobian_at, jet_eval, parse_poly,
-                            poly_str, random_poly)
+from secantry.mpoly import (Jet, MPoly, PolyMap, PolyParseError, jet_eval,
+                            parse_poly, poly_str, random_poly)
+from secantry.variety import Parametric, SampleExhausted
 
 
 def horner_eval(f: MPoly, point, p):
@@ -35,6 +35,11 @@ def horner_eval(f: MPoly, point, p):
 
 def x(nv, i):
     return MPoly.variable(nv, i)
+
+
+def jacobian_rows(fmap: PolyMap, point, p):
+    """Affine-cone tangent rows at fmap(point): the value, then dF/dt_j."""
+    return [fmap.eval(point, p)] + fmap.partial_rows(point, p)
 
 
 class TestEval:
@@ -103,7 +108,7 @@ class TestJacobian:
     def test_conic_chart(self, ctxs):
         nv = 1
         fmap = PolyMap(nv, [MPoly.constant(nv, 1), x(nv, 0), x(nv, 0) * x(nv, 0)])
-        rows = jacobian_at(fmap, [3], ctxs[0].p)
+        rows = jacobian_rows(fmap, [3], ctxs[0].p)
         assert rows == [[1, 3, 9], [0, 1, 6]]
         assert rank(rows, ctxs[0].p) == 2
 
@@ -111,7 +116,7 @@ class TestJacobian:
         nv = 3
         fmap = PolyMap(nv, [MPoly.constant(nv, 1)] + [x(nv, i) for i in range(3)])
         t = [rng.randrange(ctxs[0].p) for _ in range(3)]
-        assert rank(jacobian_at(fmap, t, ctxs[0].p), ctxs[0].p) == 4
+        assert rank(jacobian_rows(fmap, t, ctxs[0].p), ctxs[0].p) == 4
 
     def test_twisted_cubic_symbolic_minors(self, ctxs, rng):
         # Symbolic 2x2 minors of [(1,t,t^2,t^3), (0,1,2t,3t^2)] are the oracle:
@@ -127,13 +132,15 @@ class TestJacobian:
         p = ctxs[0].p
         for _ in range(5):
             pt = [rng.randrange(p)]
-            assert rank(jacobian_at(fmap, pt, p), p) == 2
+            assert rank(jacobian_rows(fmap, pt, p), p) == 2
 
-    def test_singular_sample(self, ctxs):
+    def test_singular_sample(self, ctxs, rng):
+        # A constant chart has Jacobian rank 1 < nvars + 1 at every point,
+        # so the sampler resamples until it gives up.
         nv = 1
         fmap = PolyMap(nv, [MPoly.constant(nv, 1), MPoly.constant(nv, 2)])
-        with pytest.raises(SingularSample):
-            jacobian_at(fmap, [5], ctxs[0].p)
+        with pytest.raises(SampleExhausted):
+            Parametric(fmap).sample(ctxs[0], rng)
 
     def test_chain_rule_with_linear_map(self, ctxs, rng):
         p = ctxs[0].p
@@ -141,9 +148,9 @@ class TestJacobian:
         mat = [[rng.randrange(p) for _ in range(4)] for _ in range(3)]
         comp = fmap.compose_linear(mat)
         t = [rng.randrange(p) for _ in range(2)]
-        direct = [comp.eval(t, p)] + comp.partial_rows(t, p)
+        direct = jacobian_rows(comp, t, p)
         pushed = [[sum(m * v for m, v in zip(mrow, row)) % p for mrow in mat]
-                  for row in [fmap.eval(t, p)] + fmap.partial_rows(t, p)]
+                  for row in jacobian_rows(fmap, t, p)]
         assert direct == pushed
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+
 from secantry.linalg import derive_rng
-from secantry.uniroots import poly_gcd, poly_mul, poly_rem, roots
+from secantry.uniroots import poly_divmod, poly_gcd, poly_mul, poly_sub, roots
 
 from conftest import SEED
 
@@ -77,7 +79,23 @@ class TestPolyOps:
         for _ in range(10):
             f = [rng.randrange(p) for _ in range(5)] + [1]
             g = [rng.randrange(p) for _ in range(3)] + [1]
-            r = poly_rem(f, g, p)
+            r = poly_divmod(f, g, p)[1]
             assert len(r) < len(g)
             d = poly_gcd(poly_mul(f, g, p), g, p)
             assert d == g  # g is monic, so gcd(fg, g) = g
+
+    def test_divmod_against_brute_force(self):
+        # Over F_101 the quotient is the only q of degree deg f - deg g with
+        # deg(f - q*g) < deg g, so an exhaustive search must find exactly it.
+        p = 101
+        rng = derive_rng(SEED, "divmod")
+        for _ in range(40):
+            g = [rng.randrange(p) for _ in range(rng.randrange(1, 3))] + [rng.randrange(1, p)]
+            f = [rng.randrange(p) for _ in range(rng.randrange(0, 3))] + [rng.randrange(1, p)]
+            q, r = poly_divmod(f, g, p)
+            assert len(r) < len(g)
+            assert poly_sub(f, poly_mul(q, g, p), p) == r  # q*g + r == f
+            nq = max(len(f) - len(g) + 1, 0)
+            brute = [list(c) for c in itertools.product(range(p), repeat=nq)
+                     if len(poly_sub(f, poly_mul(list(c), g, p), p)) < len(g)]
+            assert brute == [q]

@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import secantry
 
 from secantry.linalg import RowReducer, derive_rng, rank, row_basis
 from secantry.mpoly import MPoly, PolyMap, random_poly
@@ -121,6 +127,23 @@ class TestHypersurfaceExactness:
         g = MPoly.variable(3, 0) + MPoly.constant(3, 1)
         with pytest.raises(ValueError):
             hypersurface(2, g)
+
+    def test_wrong_root_raises_under_optimize(self):
+        # The exactness check must survive `python -O`, and a wrong root
+        # must surface as an error instead of being resampled away.
+        script = (
+            "from secantry import uniroots, hypersurface, make_contexts, derive_rng\n"
+            "from secantry.mpoly import parse_poly\n"
+            "def value(f, t, p): return sum(c * t ** i for i, c in enumerate(f)) % p\n"
+            "uniroots.roots = lambda f, p, rng: [next(t for t in range(len(f))\n"
+            "                                         if value(f, t, p))]\n"
+            "spec = hypersurface(2, parse_poly('x0^2 + x1^2 - x2^2', 3))\n"
+            "spec.sample(make_contexts(5)[0], derive_rng(5, 'wrong-root'))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(secantry.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode != 0
+        assert "ArithmeticError: sampled point does not satisfy" in proc.stderr
 
 
 class TestQuadricChart:
@@ -309,6 +332,15 @@ class TestSerialization:
             loads_spec('{"op": "mystery"}')
         with pytest.raises(SpecParseError):
             loads_spec('{"op": "hypersurface", "m": 2}')
+
+    def test_project_center_rows_checked_at_load(self):
+        cubic = '"child": {"op": "scroll", "degrees": [3]}'
+        for center in ("[[1, 0, 0, 0], [2, 0, 0, 0]]", "[[1, 0, 0, 0], [0, 1, 0]]"):
+            with pytest.raises(SpecParseError):
+                loads_spec('{"op": "project", "center": %s, %s}' % (center, cubic))
+        spec = loads_spec('{"op": "project", "center": [[1, 0, 0, 0], [0, 1, 0, 0]], %s}'
+                          % cubic)
+        assert spec.ambient == 1
 
 
 class TestChart:
