@@ -14,8 +14,7 @@ from .hilbert import (HilbertReport, MinimalDegreeViolated, castelnuovo_bound,
 from .linalg import (PrimeContext, derive_rng, is_prime_u64, kernel_basis,
                      make_contexts, random_prime, rank, row_basis,
                      row_span_dim)
-from .mpoly import (Jet, MPoly, PolyMap, jet_eval, parse_poly, poly_str,
-                    random_poly)
+from .mpoly import MPoly, PolyMap, parse_poly, poly_str, random_poly
 from .terracini import (ContactShape, SecantReport, TangentialReport,
                         contact_shape, defect, expected_secant_dim,
                         gauss_fiber_dim, min_defective_scan, secant_dim,

@@ -215,10 +215,17 @@ def _parse_k_range(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are parse errors: exit 1, not argparse's 2 (sampler exhaustion)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="secantry",
-                                 description="Exact randomized secant-variety analysis "
-                                             "over 62-bit prime fields.")
+    ap = _Parser(prog="secantry",
+                 description="Exact randomized secant-variety analysis over 62-bit prime fields.")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def common(p):

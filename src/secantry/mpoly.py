@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomial arithmetic and first-order jets.
+"""Sparse multivariate polynomial arithmetic, evaluation and composition.
 
 Polynomials carry *integer* coefficients and are reduced modulo a prime
 only at evaluation time.  That way one polynomial (or one variety
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 
 class MPoly:
@@ -135,10 +134,30 @@ class MPoly:
         return acc % p
 
     def grad_eval(self, point: list[int], p: int) -> tuple[int, list[int]]:
-        """Value and full gradient at `point`, via one dual-number pass."""
-        jets = [Jet.seed(p, v, self.nvars, i) for i, v in enumerate(point)]
-        out = jet_eval(self, jets, p)
-        return out.value, list(out.derivs)
+        """Value and full gradient at `point`, in one pass over the terms.
+
+        d/dv_i of c*prod_j v_j^k_j is c*k_i*v_i^(k_i-1)*prod_{j != i} v_j^k_j.
+        """
+        if len(point) != self.nvars:
+            raise ValueError("point length must equal nvars")
+        pt = [v % p for v in point]
+        value = 0
+        grad = [0] * self.nvars
+        for e, c in self.terms.items():
+            support = [(i, k, pow(pt[i], k - 1, p)) for i, k in enumerate(e) if k]
+            full = [low * pt[i] % p for i, _, low in support]
+            c %= p
+            t = c
+            for f in full:
+                t = t * f % p
+            value += t
+            for a, (i, k, low) in enumerate(support):
+                d = c * k * low
+                for b, f in enumerate(full):
+                    if b != a:
+                        d = d * f % p
+                grad[i] += d
+        return value % p, [g % p for g in grad]
 
     def to_univariate(self, values: list[int | None], p: int) -> list[int]:
         """Substitute numbers for all variables except the single None slot.
@@ -177,62 +196,6 @@ class MPoly:
         return MPoly(new_nvars, terms)
 
 
-@dataclass(frozen=True)
-class Jet:
-    """First-order jet (dual number): a value plus its gradient.
-
-    Product rule holds by construction: jet(f*g) = (fg, f*dg + g*df).
-    """
-
-    p: int
-    value: int
-    derivs: tuple[int, ...]
-
-    @classmethod
-    def seed(cls, p: int, value: int, nvars: int, var: int) -> "Jet":
-        d = [0] * nvars
-        d[var] = 1
-        return cls(p, value % p, tuple(d))
-
-    @classmethod
-    def const(cls, p: int, value: int, nvars: int) -> "Jet":
-        return cls(p, value % p, (0,) * nvars)
-
-    def __add__(self, other: "Jet") -> "Jet":
-        return Jet(self.p, (self.value + other.value) % self.p,
-                   tuple((a + b) % self.p for a, b in zip(self.derivs, other.derivs)))
-
-    def __mul__(self, other: "Jet | int") -> "Jet":
-        p = self.p
-        if isinstance(other, int):
-            return Jet(p, self.value * other % p, tuple(d * other % p for d in self.derivs))
-        v = self.value * other.value % p
-        d = tuple((self.value * db + other.value * da) % p
-                  for da, db in zip(self.derivs, other.derivs))
-        return Jet(p, v, d)
-
-    __rmul__ = __mul__
-
-    def pow(self, k: int) -> "Jet":
-        out = Jet.const(self.p, 1, len(self.derivs))
-        for _ in range(k):
-            out = out * self
-        return out
-
-
-def jet_eval(f: MPoly, jets: list[Jet], p: int) -> Jet:
-    """Evaluate f on jet inputs; returns value plus gradient composed by the chain rule."""
-    nd = len(jets[0].derivs) if jets else 0
-    acc = Jet.const(p, 0, nd)
-    for e, c in f.terms.items():
-        t = Jet.const(p, c, nd)
-        for jet, k in zip(jets, e):
-            if k:
-                t = t * jet.pow(k)
-        acc = acc + t
-    return acc
-
-
 class PolyMap:
     """An ordered tuple of polynomials in shared variables (a coordinate map)."""
 
@@ -262,6 +225,19 @@ class PolyMap:
             for j in range(self.nvars):
                 rows[j][ci] = grad[j]
         return rows
+
+    def pull_back(self, g: MPoly) -> MPoly:
+        """The composite g o self: g's variables replaced by these coordinates."""
+        if g.nvars != len(self.coords):
+            raise ValueError("g needs one variable per coordinate")
+        acc = MPoly.zero(self.nvars)
+        for e, c in g.terms.items():
+            term = MPoly.constant(self.nvars, c)
+            for coord, k in zip(self.coords, e):
+                for _ in range(k):
+                    term = term * coord
+            acc = acc + term
+        return acc
 
     def compose_linear(self, mat: list[list[int]]) -> "PolyMap":
         """Left-compose with a linear map: coordinates become mat . coords."""

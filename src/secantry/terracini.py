@@ -181,20 +181,21 @@ def tangential_projection(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
     """Measure n_k = dim of the image of a general k-tangential projection.
 
     The returned projected_spec composes with every other operation but is
-    bound to the first prime context (its center rows are residues).
+    bound to the prime that reached the maximum, the first one on a tie (its
+    center rows are residues modulo that prime).
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    best = -1
-    kept_center = None
+    best = None
     for ctx in ctxs:
         n_k, center = _tangential_once(spec, k, ctx, rng)
-        if n_k > best:
-            best = n_k
-        if kept_center is None:
-            kept_center = center
-    proj = ProjectFrom(spec, kept_center, dim=best, bound_p=ctxs[0].p)
-    return TangentialReport(k=k, n_k=best, m_k=spec.dim - best, projected_spec=proj)
+        if best is None or n_k > best[0]:
+            best = n_k, center, ctx.p
+    if best is None:
+        raise ValueError("no prime contexts given")
+    n_k, center, p = best
+    proj = ProjectFrom(spec, center, dim=n_k, bound_p=p)
+    return TangentialReport(k=k, n_k=n_k, m_k=spec.dim - n_k, projected_spec=proj)
 
 
 def gauss_fiber_dim(spec: VarietySpec, ctxs: list[PrimeContext],
@@ -230,7 +231,7 @@ def _gauss_fiber_once(spec: VarietySpec, cmap, first, ctx: PrimeContext,
     for _ in range(linalg.SAMPLE_RETRIES):
         t = [rng.randrange(p) for _ in range(c)]
         value = cmap.eval(t, p)
-        d1 = [[first[ci][j].eval(t, p) for ci in range(ncoords)] for j in range(c)]
+        d1 = cmap.partial_rows(t, p)
         frame_rows = [value] + d1
         tangent = RowReducer(p)
         for row in frame_rows:
@@ -241,14 +242,12 @@ def _gauss_fiber_once(spec: VarietySpec, cmap, first, ctx: PrimeContext,
         # j-derivatives are the first and second partials respectively.
         constraints = []  # rows of the linear system on directions v
         for i in range(c + 1):
-            residuals = []
-            for j in range(c):
-                if i == 0:
-                    deriv = d1[j]
-                else:
-                    deriv = [first[ci][i - 1].partial(j).eval(t, p)
-                             for ci in range(ncoords)]
-                residuals.append(tangent.residual(deriv))
+            if i == 0:
+                derivs = d1
+            else:
+                grads = [first[ci][i - 1].grad_eval(t, p)[1] for ci in range(ncoords)]
+                derivs = [[g[j] for g in grads] for j in range(c)]
+            residuals = [tangent.residual(deriv) for deriv in derivs]
             for coord in range(ncoords):
                 row = [residuals[j][coord] for j in range(c)]
                 if any(row):

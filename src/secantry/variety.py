@@ -29,7 +29,8 @@ import random
 
 from . import linalg, uniroots
 from .linalg import PrimeContext, RowReducer, SAMPLE_RETRIES
-from .mpoly import MPoly, PolyMap, parse_poly, poly_str, random_poly
+from .mpoly import (MPoly, PolyMap, monomial_exponents, parse_poly, poly_str,
+                    random_poly)
 
 
 class SampleExhausted(Exception):
@@ -202,12 +203,8 @@ class Veronese(VarietySpec):
 
     def chart(self, ctx):
         cmap, kind = self.child.chart(ctx)
-        coords = []
-        for combo in self.combos:
-            acc = MPoly.constant(cmap.nvars, 1)
-            for i in combo:
-                acc = acc * cmap.coords[i]
-            coords.append(acc)
+        nq = len(cmap.coords)
+        coords = [cmap.pull_back(MPoly.monomial(nq, e)) for e in monomial_exponents(nq, self.d)]
         return PolyMap(cmap.nvars, coords), kind
 
     def to_obj(self):
@@ -409,9 +406,10 @@ class RestrictedChart(VarietySpec):
     """A parametrized ambient chart cut down by one equation.
 
     The equation lives in the ambient coordinates and is pulled back to the
-    chart parameters at sample time; the sampler solves it univariately in
-    one designated parameter.  Used for varieties carved out of a
-    parametrized hypersurface, e.g. a threefold on a smooth quadric in P^5.
+    chart parameters once, at construction; the sampler solves the pullback
+    univariately in one designated parameter.  Used for varieties carved
+    out of a parametrized hypersurface, e.g. a threefold on a smooth quadric
+    in P^5.
     """
 
     def __init__(self, chart: PolyMap, equation: MPoly, solve_var: int = 0,
@@ -422,6 +420,7 @@ class RestrictedChart(VarietySpec):
             raise ValueError("solve variable out of range")
         self.chart_map = chart
         self.g = equation
+        self.pullback = chart.pull_back(equation)
         self.solve_var = solve_var
         self.dim = chart.nvars - 1
         self.ambient = len(chart.coords) - 1
@@ -433,9 +432,7 @@ class RestrictedChart(VarietySpec):
         sv = self.solve_var
         params: list[int | None] = [rng.randrange(p) for _ in range(self.chart_map.nvars)]
         params[sv] = None
-        # Pull the equation back along the chart with only `sv` left symbolic.
-        uni_coords = [c.to_univariate(params, p) for c in self.chart_map.coords]
-        f = self._eval_equation_on(uni_coords, p)
+        f = self.pullback.to_univariate(params, p)
         if not f:
             raise _Resample("zero_restriction")
         rts = uniroots.roots(f, p, rng)
@@ -446,30 +443,16 @@ class RestrictedChart(VarietySpec):
         point = self.chart_map.eval(t, p)
         if not any(point):
             raise _Resample("zero_point")
-        _, gmb = self.g.grad_eval(point, p)
-        jac = self.chart_map.partial_rows(t, p)
-        w = [sum(a * b for a, b in zip(gmb, row)) % p for row in jac]
+        # Tangent directions in parameter space: the kernel of d(g o chart).
+        _, w = self.pullback.grad_eval(t, p)
         if not any(w):
             raise _Resample("singular_point")
+        jac = self.chart_map.partial_rows(t, p)
         dirs = linalg.kernel_basis([w], p)
         rows = [point] + [[sum(d[j] * jac[j][ci] for j in range(len(jac))) % p
                            for ci in range(self.ambient + 1)] for d in dirs]
         frame = _frame_from_rows(rows, self.dim + 1, p)
         return PointFrame(p, point, frame)
-
-    def _eval_equation_on(self, uni_coords: list[list[int]], p: int) -> list[int]:
-        acc: list[int] = []
-        for e, c in self.g.terms.items():
-            term = [c % p]
-            for i, k in enumerate(e):
-                for _ in range(k):
-                    term = uniroots.poly_mul(term, uni_coords[i], p)
-                    if not term:
-                        break
-                if not term:
-                    break
-            acc = uniroots.poly_sub(acc, [(-x) % p for x in term], p)
-        return acc
 
     def to_obj(self):
         if self._ctor is not None:
@@ -760,9 +743,8 @@ def project_from(child: VarietySpec, center, rng: random.Random | None = None,
     return ProjectFrom(child, center, degree=degree)
 
 
-def _chart_int_eval(spec: VarietySpec, t: list[int]) -> list[int]:
+def _chart_int_eval(cmap: PolyMap, t: list[int]) -> list[int]:
     """Evaluate a parametric chart over the integers (no reduction)."""
-    cmap, _ = spec.chart(PrimeContext(p=(1 << 61) - 1, seed="probe"))
     out = []
     for c in cmap.coords:
         acc = 0
@@ -784,7 +766,7 @@ def center_in_span(child: VarietySpec, s: int, rng: random.Random) -> list[list[
         acc = [0] * (child.ambient + 1)
         for _ in range(child.ambient + 2):
             t = [rng.randrange(1, 50) for _ in range(nparams)]
-            val = _chart_int_eval(child, t)
+            val = _chart_int_eval(cmap, t)
             c = rng.randrange(1, 10 ** 6)
             acc = [a + c * v for a, v in zip(acc, val)]
         rows.append(acc)
@@ -797,7 +779,7 @@ def center_on_points(child: VarietySpec, count: int, rng: random.Random) -> list
     rows = []
     for _ in range(count):
         t = [rng.randrange(2, 10 ** 4) for _ in range(cmap.nvars)]
-        rows.append(_chart_int_eval(child, t))
+        rows.append(_chart_int_eval(cmap, t))
     return rows
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from secantry.cli import main
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
@@ -82,6 +84,15 @@ class TestAnalyze:
             assert run(args) == 1, args
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
+
+    def test_usage_errors_exit_1(self, capsys):
+        # A malformed option is a parse error (1), not sampler exhaustion (2).
+        for args in (["analyze", str(SPECS / "twisted-cubic.variety.json"), "--k", "foo"],
+                     ["catalog", "verify-all", "--k-range", "a..b"]):
+            with pytest.raises(SystemExit) as exc:
+                run(args)
+            assert exc.value.code == 1, args
+            assert "error:" in capsys.readouterr().err
 
 
 class TestCatalogCommands:

@@ -1,0 +1,53 @@
+"""Byte-for-byte CLI reports, pinned against a committed golden file.
+
+`test_byte_identical_reruns` compares two runs of the same code; this
+file compares today's code with the reports recorded before a refactor,
+so an internal rewrite that must not change a single reported number
+(evaluation paths, samplers, row reduction) is checked end to end.
+Run `python tests/test_golden_reports.py` to regenerate the file after
+a deliberate change to what the reports contain.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from secantry.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).resolve().parent / "reports_golden.json"
+
+# name -> CLI arguments; spec paths are relative to the repository root.
+COMMANDS = {
+    "analyze-veronese-p3": ["analyze", "specs/veronese-p3.variety.json", "--k", "1"],
+    "analyze-twisted-cubic": ["analyze", "specs/twisted-cubic.variety.json", "--k", "1"],
+    "analyze-family-13-k2": ["analyze", "specs/family-13-k2.variety.json", "--k-max", "3"],
+    # F5 is the catalog's only RestrictedChart entry.
+    "verify-F5-k4": ["catalog", "verify", "--family", "F5", "--k", "4"],
+    "verify-F13-k2-seed5": ["catalog", "verify", "--family", "F13", "--k", "2",
+                            "--seed", "5"],
+}
+
+
+def run_report(args: list[str]) -> dict:
+    """Exit code, stdout and stderr of one CLI run."""
+    args = [str(ROOT / a) if a.startswith("specs/") else a for a in args]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_report_matches_golden(name):
+    assert run_report(COMMANDS[name]) == json.loads(GOLDEN.read_text())[name]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps({name: run_report(args) for name, args in COMMANDS.items()},
+                                 indent=1, sort_keys=True) + "\n")

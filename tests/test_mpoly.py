@@ -1,12 +1,14 @@
-"""Polynomial arithmetic, jets and Jacobian frames, with independent oracles."""
+"""Polynomial arithmetic, gradients and Jacobian frames, with independent oracles."""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
 from secantry.linalg import rank
-from secantry.mpoly import (Jet, MPoly, PolyMap, PolyParseError, jet_eval,
-                            parse_poly, poly_str, random_poly)
+from secantry.mpoly import (MPoly, PolyMap, PolyParseError, parse_poly, poly_str,
+                            random_poly)
 from secantry.variety import Parametric, SampleExhausted
 
 
@@ -74,17 +76,17 @@ class TestPartial:
     def test_constant(self):
         assert MPoly.constant(2, 7).partial(0).is_zero()
 
-    def test_against_jet_directional(self, ctxs, rng):
-        # Jet evaluation is the oracle for formal partials.
+    def test_grad_eval_against_partials(self, ctxs, rng):
+        # Formal partials evaluated one by one are the oracle for grad_eval,
+        # including coordinates that are zero, negative or not reduced mod p.
         p = ctxs[0].p
         f = random_poly(3, 3, rng, homogeneous=False)
-        for _ in range(10):
-            t = [rng.randrange(p) for _ in range(3)]
-            jets = [Jet.seed(p, v, 3, i) for i, v in enumerate(t)]
-            out = jet_eval(f, jets, p)
-            assert out.value == f.eval(t, p)
-            for i in range(3):
-                assert out.derivs[i] == f.partial(i).eval(t, p)
+        points = [[0, 0, 0], [0, -1, 5], [p, p + 1, -p - 2], [2 * p - 1, 0, -3]]
+        points += [[rng.randrange(-p, 2 * p) for _ in range(3)] for _ in range(10)]
+        for t in points:
+            value, grad = f.grad_eval(t, p)
+            assert value == f.eval(t, p)
+            assert grad == [f.partial(i).eval(t, p) for i in range(3)]
 
     def test_leibniz_rule(self, rng):
         for _ in range(10):
@@ -192,17 +194,38 @@ class TestMultiply:
         assert len((f * g).terms) <= len(f.terms) * len(g.terms)
 
 
-class TestJetAlgebra:
+class TestGradEval:
     def test_product_rule_holds(self, ctxs, rng):
         p = ctxs[0].p
         for _ in range(10):
-            a = Jet(p, rng.randrange(p), (rng.randrange(p), rng.randrange(p)))
-            b = Jet(p, rng.randrange(p), (rng.randrange(p), rng.randrange(p)))
-            ab = a * b
-            assert ab.value == a.value * b.value % p
-            for i in range(2):
-                assert ab.derivs[i] == (a.value * b.derivs[i]
-                                        + b.value * a.derivs[i]) % p
+            f = random_poly(2, 3, rng, homogeneous=False)
+            g = random_poly(2, 2, rng, homogeneous=False)
+            t = [rng.randrange(p) for _ in range(2)]
+            (fv, fd), (gv, gd) = f.grad_eval(t, p), g.grad_eval(t, p)
+            value, grad = (f * g).grad_eval(t, p)
+            assert value == fv * gv % p
+            assert grad == [(fv * gd[i] + gv * fd[i]) % p for i in range(2)]
+
+    def test_rejects_wrong_length(self):
+        f = random_poly(3, 2, random.Random(0))
+        with pytest.raises(ValueError):
+            f.grad_eval([1, 2], 101)
+        with pytest.raises(ValueError):
+            f.grad_eval([1, 2, 3, 4], 101)
+
+    def test_pull_back_is_composition(self, ctxs, rng):
+        # Value: g(map(t)).  Gradient: the chain rule grad g(map(t)) . dmap/dt.
+        p = ctxs[0].p
+        fmap = PolyMap(2, [random_poly(2, 2, rng, homogeneous=False) for _ in range(3)])
+        g = random_poly(3, 2, rng, homogeneous=False)
+        pulled = fmap.pull_back(g)
+        for _ in range(5):
+            t = [rng.randrange(p) for _ in range(2)]
+            gv, gd = g.grad_eval(fmap.eval(t, p), p)
+            value, grad = pulled.grad_eval(t, p)
+            assert value == gv
+            assert grad == [sum(a * b for a, b in zip(gd, row)) % p
+                            for row in fmap.partial_rows(t, p)]
 
 
 class TestParser:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from secantry import terracini
 from secantry.catalog import build_family
 from secantry.linalg import RowReducer, derive_rng
 from secantry.terracini import (contact_shape, defect, expected_secant_dim,
@@ -116,6 +117,22 @@ class TestTangential:
         tan = tangential_projection(spec, 1, ctxs, rng)
         assert tan.n_k == 2
         pf = tan.projected_spec.sample(ctxs[0], rng)
+        assert len(pf.frame) == tan.n_k + 1
+
+    def test_projected_spec_keeps_the_winning_prime(self, ctxs, rng, monkeypatch):
+        # When the second prime reaches the larger n_k, the projection must
+        # use that prime's center, not mix it with the first prime's.
+        real = terracini._tangential_once
+
+        def first_prime_unlucky(spec, k, ctx, rng):
+            n_k, center = real(spec, k, ctx, rng)
+            return (n_k - 1 if ctx is ctxs[0] else n_k), center
+
+        monkeypatch.setattr(terracini, "_tangential_once", first_prime_unlucky)
+        tan = tangential_projection(veronese(projective_space(3), 2), 1, ctxs, rng)
+        assert tan.n_k == 2
+        assert tan.projected_spec.bound_p == ctxs[1].p
+        pf = tan.projected_spec.sample(ctxs[1], rng)
         assert len(pf.frame) == tan.n_k + 1
 
 

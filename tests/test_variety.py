@@ -158,6 +158,22 @@ class TestQuadricChart:
             assert quadric.eval(pf.point, ctx.p) == 0
             assert cubic.eval(pf.point, ctx.p) == 0
 
+    def test_restriction_is_equation_on_chart(self, ctxs, rng):
+        # The sampler's univariate restriction at x equals g(chart(t)) with
+        # the solve parameter t_sv set to x.
+        spec = on_quadric(random_poly(6, 3, rng))
+        sv = spec.solve_var
+        for ctx in ctxs:
+            p = ctx.p
+            params = [rng.randrange(p) for _ in range(spec.chart_map.nvars)]
+            params[sv] = None
+            f = spec.pullback.to_univariate(params, p)
+            for _ in range(3):
+                t = list(params)
+                t[sv] = x = rng.randrange(p)
+                at_x = sum(c * pow(x, d, p) for d, c in enumerate(f)) % p
+                assert at_x == spec.g.eval(spec.chart_map.eval(t, p), p)
+
 
 class TestConeSection:
     def test_points_on_section(self, ctxs, rng):
