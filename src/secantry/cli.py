@@ -209,10 +209,11 @@ def cmd_catalog(args, cfg: RunConfig) -> int:
 
 
 def _parse_k_range(text: str) -> tuple[int, int]:
-    parts = text.split("..")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("k range looks like 2..4")
-    return int(parts[0]), int(parts[1])
+    try:
+        lo, hi = (int(part) for part in text.split(".."))
+    except ValueError:
+        raise argparse.ArgumentTypeError("k range looks like 2..4") from None
+    return lo, hi
 
 
 class _Parser(argparse.ArgumentParser):

@@ -56,6 +56,16 @@ class _Resample(Exception):
         self.cause = cause
 
 
+def _pick_root(f: list[int], p: int, rng: random.Random) -> int:
+    """A uniformly drawn root of the univariate restriction f, or a resample."""
+    if not f:
+        raise _Resample("zero_restriction")
+    rts = uniroots.roots(f, p, rng)
+    if not rts:
+        raise _Resample("no_root")
+    return rts[rng.randrange(len(rts))]
+
+
 class PointFrame:
     """A point on the affine cone plus a basis of the cone tangent there."""
 
@@ -377,13 +387,7 @@ class Hypersurface(VarietySpec):
         j = rng.randrange(self.m + 1)
         values: list[int | None] = [rng.randrange(p) for _ in range(self.m + 1)]
         values[j] = None
-        f = self.g.to_univariate(values, p)
-        if not f:
-            raise _Resample("zero_restriction")
-        rts = uniroots.roots(f, p, rng)
-        if not rts:
-            raise _Resample("no_root")
-        values[j] = rts[rng.randrange(len(rts))]
+        values[j] = _pick_root(self.g.to_univariate(values, p), p, rng)
         point = [int(v) for v in values]  # type: ignore[arg-type]
         if not any(point):
             raise _Resample("zero_point")
@@ -432,13 +436,7 @@ class RestrictedChart(VarietySpec):
         sv = self.solve_var
         params: list[int | None] = [rng.randrange(p) for _ in range(self.chart_map.nvars)]
         params[sv] = None
-        f = self.pullback.to_univariate(params, p)
-        if not f:
-            raise _Resample("zero_restriction")
-        rts = uniroots.roots(f, p, rng)
-        if not rts:
-            raise _Resample("no_root")
-        params[sv] = rts[rng.randrange(len(rts))]
+        params[sv] = _pick_root(self.pullback.to_univariate(params, p), p, rng)
         t = [int(v) for v in params]  # type: ignore[arg-type]
         point = self.chart_map.eval(t, p)
         if not any(point):
@@ -489,13 +487,7 @@ class ConeSection(VarietySpec):
         p = ctx.p
         pf = self.child.sample(ctx, rng)
         values: list[int | None] = [v for v in pf.point] + [None]
-        f = self.g.to_univariate(values, p)
-        if not f:
-            raise _Resample("zero_restriction")
-        rts = uniroots.roots(f, p, rng)
-        if not rts:
-            raise _Resample("no_root")
-        w = rts[rng.randrange(len(rts))]
+        w = _pick_root(self.g.to_univariate(values, p), p, rng)
         point = pf.point + [w]
         _, grad = self.g.grad_eval(point, p)
         if not any(grad):

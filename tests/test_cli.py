@@ -92,7 +92,10 @@ class TestAnalyze:
             with pytest.raises(SystemExit) as exc:
                 run(args)
             assert exc.value.code == 1, args
-            assert "error:" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "error:" in err
+            if "--k-range" in args:
+                assert "k range looks like 2..4" in err
 
 
 class TestCatalogCommands:

@@ -27,8 +27,12 @@ COMMANDS = {
     "analyze-veronese-p3": ["analyze", "specs/veronese-p3.variety.json", "--k", "1"],
     "analyze-twisted-cubic": ["analyze", "specs/twisted-cubic.variety.json", "--k", "1"],
     "analyze-family-13-k2": ["analyze", "specs/family-13-k2.variety.json", "--k-max", "3"],
-    # F5 is the catalog's only RestrictedChart entry.
+    # One entry per root-solving sampler: F5 is the catalog's only
+    # RestrictedChart, F1 `point` a ConeSection, F8 a Hypersurface.
     "verify-F5-k4": ["catalog", "verify", "--family", "F5", "--k", "4"],
+    "verify-F1-k2-point": ["catalog", "verify", "--family", "F1", "--k", "2",
+                           "--variant", "point"],
+    "verify-F8-k2": ["catalog", "verify", "--family", "F8", "--k", "2"],
     "verify-F13-k2-seed5": ["catalog", "verify", "--family", "F13", "--k", "2",
                             "--seed", "5"],
 }

@@ -5,9 +5,14 @@ from __future__ import annotations
 import itertools
 
 from secantry.linalg import derive_rng
-from secantry.uniroots import poly_divmod, poly_gcd, poly_mul, poly_sub, roots
+from secantry.uniroots import poly_divmod, poly_gcd, poly_sub, roots, sqrt_mod, trim
 
 from conftest import SEED
+
+# The first prime of seed 1.  p = 1 mod 8, so 8 divides p - 1 and the
+# Tonelli-Shanks loop runs for most squares.
+P62 = 3612720013493706217
+NONRESIDUE = next(z for z in range(2, 100) if pow(z, (P62 - 1) // 2, P62) == P62 - 1)
 
 
 def eval_poly(f, t, p):
@@ -15,6 +20,24 @@ def eval_poly(f, t, p):
     for c in reversed(f):
         acc = (acc * t + c) % p
     return acc
+
+
+def poly_mul(f, g, p):
+    """Schoolbook product, the oracles' own helper (the library has none)."""
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return trim([c % p for c in out])
+
+
+def from_roots(rts, p):
+    f = [1]
+    for r in rts:
+        f = poly_mul(f, [(-r) % p, 1], p)
+    return f
 
 
 class TestSmallPrimeBruteForce:
@@ -33,13 +56,80 @@ class TestSmallPrimeBruteForce:
         p = 101
         rng = derive_rng(SEED, "uniroots-known")
         # (x-3)(x-5)^2 (x^2+1): x^2+1 has roots iff -1 is a QR mod 101 (it is: 10^2=100).
-        f = [1]
-        for r in (3, 5, 5):
-            f = poly_mul(f, [(-r) % p, 1], p)
-        f = poly_mul(f, [1, 0, 1], p)
+        f = poly_mul(from_roots([3, 5, 5], p), [1, 0, 1], p)
         rts = roots(f, p, rng)
         assert 3 in rts and 5 in rts
         assert rts == sorted(t for t in range(p) if eval_poly(f, t, p) == 0)
+
+
+class TestBruteForceAcrossPrimes:
+    # Every polynomial of degree d over F_p while p^(d+1) is small, random
+    # and planted ones above that; F_2 keeps the gcd path, odd p the formula.
+    PRIMES = (2, 3, 5, 7, 17, 97, 257)
+    EXHAUSTIVE = 5000
+
+    def cases(self, p, d, rng):
+        if p ** (d + 1) <= self.EXHAUSTIVE:
+            for c in itertools.product(range(p), repeat=d):
+                for lead in range(1, p):
+                    yield list(c) + [lead]
+            return
+        for _ in range(100):
+            k = rng.randrange(d + 1)  # planted roots, repeats allowed
+            rest = [rng.randrange(p) for _ in range(d - k)] + [rng.randrange(1, p)]
+            yield poly_mul(from_roots([rng.randrange(p) for _ in range(k)], p), rest, p)
+
+    def test_degrees_1_to_6(self):
+        rng = derive_rng(SEED, "uniroots-primes")
+        for p in self.PRIMES:
+            for d in range(1, 7):
+                for f in self.cases(p, d, rng):
+                    expected = sorted(t for t in range(p) if eval_poly(f, t, p) == 0)
+                    assert roots(f, p, rng) == expected, (p, f)
+
+
+class TestSqrtMod:
+    def test_every_odd_prime_below_400(self):
+        odd_primes = [p for p in range(3, 400) if all(p % q for q in range(2, p))]
+        assert 257 in odd_primes and 17 in odd_primes  # p = 1 mod 8: s = 8 and 4
+        for p in odd_primes:
+            squares = {x * x % p for x in range(p)}
+            for a in range(p):
+                s = sqrt_mod(a, p)
+                if a in squares:
+                    assert s is not None and s * s % p == a, (a, p)
+                else:
+                    assert s is None, (a, p)
+
+    def test_large_prime(self):
+        rng = derive_rng(SEED, "sqrt-big")
+        for _ in range(50):
+            x = rng.randrange(P62)
+            s = sqrt_mod(x * x, P62)
+            assert s in (x, P62 - x)
+        assert sqrt_mod(NONRESIDUE, P62) is None
+
+
+class TestQuadraticFormula:
+    def test_planted_double_root(self):
+        r = derive_rng(SEED, "double").randrange(P62)
+        assert roots(from_roots([r, r], P62), P62, derive_rng(SEED, "q")) == [r]
+
+    def test_two_planted_roots(self):
+        rng = derive_rng(SEED, "two")
+        r1, r2 = rng.randrange(P62), rng.randrange(P62)
+        f = [7 * c % P62 for c in from_roots([r1, r2], P62)]  # not monic
+        assert roots(f, P62, rng) == sorted({r1, r2})
+
+    def test_irreducible_quadratic(self):
+        assert roots([P62 - NONRESIDUE, 0, 1], P62, derive_rng(SEED, "irr")) == []
+
+    def test_no_draws(self):
+        rng = derive_rng(SEED, "no-draws")
+        state = rng.getstate()
+        for f in ([3, 5, 1], from_roots([11, 12], P62), [2, 0, 1]):
+            roots(f, P62, rng)
+            assert rng.getstate() == state
 
 
 class TestLargePrime:
@@ -59,10 +149,7 @@ class TestLargePrime:
         rng = derive_rng(SEED, "uniroots-planted")
         p = ctxs[0].p
         planted = sorted(rng.randrange(p) for _ in range(4))
-        f = [1]
-        for r in planted:
-            f = poly_mul(f, [(-r) % p, 1], p)
-        assert roots(f, p, rng) == planted
+        assert roots(from_roots(planted, p), p, rng) == planted
 
     def test_deterministic(self, ctxs):
         p = ctxs[0].p
