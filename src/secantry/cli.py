@@ -70,15 +70,15 @@ def _measure(spec: VarietySpec, k: int, k_max: int, cfg: RunConfig) -> dict:
     rng = derive_rng(cfg.seed, "analysis")
     scan = terracini.min_defective_scan(spec, k_max, ctxs, rng, cfg.trials)
     top = scan.reports[k]
-    if k >= 1 and scan.reports[k].chain[k - 1] < top.r:
+    if k >= 1 and top.chain[k - 1] < top.r:
         tan = terracini.tangential_projection(spec, k, ctxs, rng)
-        shape = terracini.contact_shape(spec, k, ctxs, rng, cfg.trials)
+        shape = terracini.contact_shape(tan, rng)
         n_k, m_k = tan.n_k, tan.m_k
     else:
         # Tangent spans already fill the ambient space: nothing to project.
         shape = terracini.ContactShape("Indeterminate", 0)
         n_k = m_k = None
-    rep = {
+    return {
         "spec_hash": spec_hash(spec),
         "seed": cfg.seed,
         "primes": [c.p for c in ctxs],
@@ -91,12 +91,11 @@ def _measure(spec: VarietySpec, k: int, k_max: int, cfg: RunConfig) -> dict:
         "n_k": n_k,
         "m_k": m_k,
         "contact_shape": shape.classification,
+        # The scan already measured the span: h1 = dim<X> + 1.
+        "h1": top.r + 1,
+        "h2": hilbert.hilbert2(spec, ctxs, rng),
         "mismatches": [],
     }
-    hrep = hilbert.hilbert_report(spec, ctxs, rng)
-    rep["h1"] = hrep.h1
-    rep["h2"] = hrep.h2
-    return rep
 
 
 def cmd_analyze(args, cfg: RunConfig) -> int:
@@ -113,11 +112,7 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
     if k < 0 or k_max < 1:
         print("error: --k must be >= 0 and --k-max (default: --k) >= 1", file=sys.stderr)
         return 1
-    try:
-        rep = _measure(spec, k, k_max, cfg)
-    except SampleExhausted as exc:
-        print(f"error: sampling failed: {exc}", file=sys.stderr)
-        return 2
+    rep = _measure(spec, k, k_max, cfg)
     text = _json_text(rep) if cfg.fmt == "json" else _markdown_report(rep)
     _write_report(text, cfg.out)
     return 0
@@ -127,7 +122,7 @@ def _entry_report(res: cat.VerifyResult, cfg: RunConfig) -> dict:
     entry = res.entry
     k = entry.k_eval
     top = res.scan.reports[k]
-    rep = {
+    return {
         "family": entry.family,
         "k": entry.k,
         "variant": entry.variant,
@@ -145,7 +140,6 @@ def _entry_report(res: cat.VerifyResult, cfg: RunConfig) -> dict:
         "pass": res.passed,
         "mismatches": res.mismatches,
     }
-    return rep
 
 
 def cmd_catalog(args, cfg: RunConfig) -> int:
@@ -166,13 +160,8 @@ def cmd_catalog(args, cfg: RunConfig) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        try:
-            res = cat.verify_family(entry, ctxs, derive_rng(cfg.seed, "verify",
-                                                            args.family, args.k,
-                                                            entry.variant), cfg.trials)
-        except SampleExhausted as exc:
-            print(f"error: sampling failed: {exc}", file=sys.stderr)
-            return 2
+        res = cat.verify_family(entry, ctxs, derive_rng(cfg.seed, "verify", args.family,
+                                                        args.k, entry.variant), cfg.trials)
         rep = _entry_report(res, cfg)
         text = _json_text(rep) if cfg.fmt == "json" else _markdown_report(rep)
         _write_report(text, cfg.out)
@@ -185,12 +174,7 @@ def cmd_catalog(args, cfg: RunConfig) -> int:
     if not 1 <= lo <= hi <= cat.K_CAP:
         print(f"error: --k-range must lie within 1..{cat.K_CAP}", file=sys.stderr)
         return 1
-    try:
-        results = cat.verify_all(range(lo, hi + 1), ctxs, trials=cfg.trials,
-                                 seed=cfg.seed)
-    except SampleExhausted as exc:
-        print(f"error: sampling failed: {exc}", file=sys.stderr)
-        return 2
+    results = cat.verify_all(range(lo, hi + 1), ctxs, trials=cfg.trials, seed=cfg.seed)
     reports = []
     all_ok = True
     for res in results:
@@ -227,12 +211,17 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="secantry",
                  description="Exact randomized secant-variety analysis over 62-bit prime fields.")
+    # Each subcommand takes only the options it reads; these defaults fill
+    # in the rest (`catalog list` measures nothing, `verify-all` is JSON only).
+    ap.set_defaults(trials=terracini.DEFAULT_TRIALS, seed=0, format="json")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
-        p.add_argument("--trials", type=int, default=terracini.DEFAULT_TRIALS)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "markdown"), default="json")
+    def common(p, measures=True, formats=True):
+        if measures:
+            p.add_argument("--trials", type=int, default=terracini.DEFAULT_TRIALS)
+            p.add_argument("--seed", type=int, default=0)
+        if formats:
+            p.add_argument("--format", choices=("json", "markdown"), default="json")
         p.add_argument("--out", default=None, help="write the report here (atomic)")
 
     pa = sub.add_parser("analyze", help="analyze a .variety.json file")
@@ -247,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     subc = pc.add_subparsers(dest="catalog_cmd", required=True)
 
     pl = subc.add_parser("list", help="list families and constructibility")
-    common(pl)
+    common(pl, measures=False, formats=False)
     pl.set_defaults(func=cmd_catalog)
 
     pv = subc.add_parser("verify", help="verify one family at one k")
@@ -259,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pva = subc.add_parser("verify-all", help="verify every constructible entry")
     pva.add_argument("--k-range", type=_parse_k_range, default=(2, 4))
-    common(pva)
+    common(pva, formats=False)
     pva.set_defaults(func=cmd_catalog)
 
     return ap
@@ -272,7 +261,12 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return args.func(args, cfg)
+    try:
+        return args.func(args, cfg)
+    except SampleExhausted as exc:
+        # Raised before a command writes anything.
+        print(f"error: sampling failed: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

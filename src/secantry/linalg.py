@@ -126,12 +126,17 @@ class RowReducer:
         return not any(self.residual(row))
 
 
-def rank(mat: list[list[int]], p: int) -> int:
-    """Row rank of an integer matrix modulo p, by Gaussian elimination."""
+def _fold(mat: list[list[int]], p: int) -> RowReducer:
+    """A RowReducer holding the row space of `mat`."""
     red = RowReducer(p)
     for row in mat:
         red.add(row)
-    return red.rank
+    return red
+
+
+def rank(mat: list[list[int]], p: int) -> int:
+    """Row rank of an integer matrix modulo p, by Gaussian elimination."""
+    return _fold(mat, p).rank
 
 
 def row_span_dim(rows: list[list[int]], p: int) -> int:
@@ -146,35 +151,8 @@ def row_span_dim(rows: list[list[int]], p: int) -> int:
 
 def row_basis(mat: list[list[int]], p: int) -> list[list[int]]:
     """A normalized basis of the row space (echelon rows, pivot-sorted)."""
-    red = RowReducer(p)
-    for row in mat:
-        red.add(row)
+    red = _fold(mat, p)
     return [red.pivots[c] for c in sorted(red.pivots)]
-
-
-def _rref(mat: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form plus the list of pivot columns."""
-    rows = [[a % p for a in r] for r in mat]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], -1, p)
-        rows[r] = [a * inv % p for a in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r], pivots
 
 
 def kernel_basis(mat: list[list[int]], p: int) -> list[list[int]]:
@@ -185,7 +163,17 @@ def kernel_basis(mat: list[list[int]], p: int) -> list[list[int]]:
     if not mat:
         raise ValueError("kernel of an empty matrix is ambiguous")
     ncols = len(mat[0])
-    rref, pivots = _rref(mat, p)
+    red = _fold(mat, p)
+    pivots = sorted(red.pivots)
+    rref = [red.pivots[c] for c in pivots]
+    # The echelon rows are zero left of their pivots; clearing each pivot
+    # column above its pivot, last pivot first, gives the (unique) RREF.
+    for i in range(len(rref) - 1, 0, -1):
+        col = pivots[i]
+        for j in range(i):
+            c = rref[j][col]
+            if c:
+                rref[j] = [(a - c * b) % p for a, b in zip(rref[j], rref[i])]
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []

@@ -43,13 +43,18 @@ class SecantReport:
     chain: list[int]
     sigma_k: int
     delta_k: int
-    r_k: int
     trials: int
     primes: list[int]
     agreement: bool
 
-    def delta(self, h: int) -> int:
-        return expected_secant_dim(self.r, self.n, h) - self.chain[h]
+
+def _report(k: int, r: int, n: int, chain: list[int], trials: int,
+            primes: list[int], agreement: bool) -> SecantReport:
+    """The order-k report read off a measured chain s^(0), ..., s^(>=k)."""
+    sigma_k = expected_secant_dim(r, n, k)
+    return SecantReport(k=k, r=r, n=n, chain=chain[:k + 1], sigma_k=sigma_k,
+                        delta_k=sigma_k - chain[k], trials=trials, primes=primes,
+                        agreement=agreement)
 
 
 @dataclass
@@ -64,12 +69,18 @@ class ScanResult:
 
 @dataclass
 class TangentialReport:
-    """Image dimension of a general k-tangential projection."""
+    """Image dimension of a general k-tangential projection.
+
+    `projections` holds each prime's projection (bound to that prime, with
+    that prime's measured n_k as its dimension); `projected_spec` is the
+    one that reached the maximum.
+    """
 
     k: int
     n_k: int
     m_k: int
     projected_spec: ProjectFrom
+    projections: list[tuple[PrimeContext, ProjectFrom]]
 
 
 @dataclass
@@ -110,7 +121,6 @@ def secant_dim(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
     """
     if k < 0 or trials < 1:
         raise ValueError("need k >= 0 and trials >= 1")
-    n = spec.dim
     chains = []
     spans = []
     for ctx in ctxs:
@@ -120,11 +130,7 @@ def secant_dim(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
     r = max(spans) - 1
     chain = [max(c[h] for c in chains) for h in range(k + 1)]
     agreement = all(c == chain for c in chains) and all(s - 1 == r for s in spans)
-    sigma_k = expected_secant_dim(r, n, k)
-    r_k = r - (chain[k - 1] if k >= 1 else -1) - 1
-    return SecantReport(k=k, r=r, n=n, chain=chain, sigma_k=sigma_k,
-                        delta_k=sigma_k - chain[k], r_k=r_k, trials=trials,
-                        primes=[c.p for c in ctxs], agreement=agreement)
+    return _report(k, r, spec.dim, chain, trials, [c.p for c in ctxs], agreement)
 
 
 def defect(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
@@ -143,59 +149,52 @@ def min_defective_scan(spec: VarietySpec, k_max: int, ctxs: list[PrimeContext],
     if k_max < 1:
         raise ValueError("need k_max >= 1")
     full = secant_dim(spec, k_max, ctxs, rng, trials)
-    reports = []
-    for h in range(k_max + 1):
-        sigma_h = expected_secant_dim(full.r, full.n, h)
-        r_h = full.r - (full.chain[h - 1] if h >= 1 else -1) - 1
-        reports.append(SecantReport(k=h, r=full.r, n=full.n, chain=full.chain[:h + 1],
-                                    sigma_k=sigma_h, delta_k=sigma_h - full.chain[h],
-                                    r_k=r_h, trials=trials, primes=full.primes,
-                                    agreement=full.agreement))
+    reports = [_report(h, full.r, full.n, full.chain, trials, full.primes, full.agreement)
+               for h in range(k_max + 1)]
     first = next((h for h in range(1, k_max + 1)
                   if reports[h].delta_k > 0 and full.chain[h] < full.r), None)
     return ScanResult(first_defective=first, reports=reports)
 
 
 def _tangential_once(spec: VarietySpec, k: int, ctx: PrimeContext,
-                     rng: random.Random) -> tuple[int, list[list[int]]]:
-    """Project from the span of k sampled tangent frames; return (n_k, center rows)."""
+                     rng: random.Random) -> ProjectFrom:
+    """Project from the span of k sampled tangent frames.
+
+    The projection is bound to ctx's prime and its dimension is the
+    measured image dimension n_k.
+    """
     rows: list[list[int]] = []
     for _ in range(k):
         rows.extend(spec.sample(ctx, rng).frame)
     center = linalg.row_basis(rows, ctx.p)
     if len(center) >= spec.ambient + 1:
         raise ValueError("tangent span fills the ambient space; nothing to project")
-    proj = ProjectFrom(spec, center, dim=spec.dim, bound_p=ctx.p)
+    proj = ProjectFrom(spec, center, bound_p=ctx.p)  # dim: set once measured
     kmap = proj.kernel_map(ctx)
     fresh = spec.sample(ctx, rng)
     image_rows = linalg.apply_map(fresh.frame, kmap, ctx.p)
-    n_k = linalg.rank(image_rows, ctx.p) - 1
-    if n_k < 0:
+    proj.dim = linalg.rank(image_rows, ctx.p) - 1
+    if proj.dim < 0:
         raise ValueError("tangent span fills the span of the variety; "
                          "nothing to project")
-    return n_k, center
+    return proj
 
 
 def tangential_projection(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
                           rng: random.Random) -> TangentialReport:
     """Measure n_k = dim of the image of a general k-tangential projection.
 
-    The returned projected_spec composes with every other operation but is
-    bound to the prime that reached the maximum, the first one on a tie (its
-    center rows are residues modulo that prime).
+    One projection is drawn per prime.  The returned projected_spec
+    composes with every other operation but is bound to the prime that
+    reached the maximum, the first one on a tie (its center rows are
+    residues modulo that prime).
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    best = None
-    for ctx in ctxs:
-        n_k, center = _tangential_once(spec, k, ctx, rng)
-        if best is None or n_k > best[0]:
-            best = n_k, center, ctx.p
-    if best is None:
-        raise ValueError("no prime contexts given")
-    n_k, center, p = best
-    proj = ProjectFrom(spec, center, dim=n_k, bound_p=p)
-    return TangentialReport(k=k, n_k=n_k, m_k=spec.dim - n_k, projected_spec=proj)
+    projections = [(ctx, _tangential_once(spec, k, ctx, rng)) for ctx in ctxs]
+    best = max((proj for _, proj in projections), key=lambda proj: proj.dim)
+    return TangentialReport(k=k, n_k=best.dim, m_k=spec.dim - best.dim,
+                            projected_spec=best, projections=projections)
 
 
 def gauss_fiber_dim(spec: VarietySpec, ctxs: list[PrimeContext],
@@ -210,16 +209,12 @@ def gauss_fiber_dim(spec: VarietySpec, ctxs: list[PrimeContext],
     minimum over primes and points is reported (rank can only drop on
     unlucky samples).
     """
-    best = None
+    fibers = []
     for ctx in ctxs:
         cmap, _ = spec.chart(ctx)  # NotParametric for implicit-backed trees
         first = [[co.partial(j) for j in range(cmap.nvars)] for co in cmap.coords]
-        for _ in range(points):
-            fiber = _gauss_fiber_once(spec, cmap, first, ctx, rng)
-            best = fiber if best is None else min(best, fiber)
-    if best is None:
-        raise ValueError("no prime contexts given")
-    return best
+        fibers += [_gauss_fiber_once(spec, cmap, first, ctx, rng) for _ in range(points)]
+    return min(fibers)
 
 
 def _gauss_fiber_once(spec: VarietySpec, cmap, first, ctx: PrimeContext,
@@ -230,11 +225,9 @@ def _gauss_fiber_once(spec: VarietySpec, cmap, first, ctx: PrimeContext,
     ncoords = len(cmap.coords)
     for _ in range(linalg.SAMPLE_RETRIES):
         t = [rng.randrange(p) for _ in range(c)]
-        value = cmap.eval(t, p)
         d1 = cmap.partial_rows(t, p)
-        frame_rows = [value] + d1
         tangent = RowReducer(p)
-        for row in frame_rows:
+        for row in [cmap.eval(t, p)] + d1:
             tangent.add(row)
         if tangent.rank != n + 1:
             continue
@@ -252,36 +245,27 @@ def _gauss_fiber_once(spec: VarietySpec, cmap, first, ctx: PrimeContext,
                 row = [residuals[j][coord] for j in range(c)]
                 if any(row):
                     constraints.append(row)
-        if not constraints:
-            kernel_dim = c
-        else:
-            kernel_dim = c - linalg.rank(constraints, p)
-        return kernel_dim - (c - n)
+        # Kernel dimension c - rank, less the chart's c - n fiber directions.
+        return n - linalg.rank(constraints, p)
     raise ValueError("could not find a generic chart point for the Gauss map")
 
 
-def contact_shape(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
-                  rng: random.Random, trials: int = DEFAULT_TRIALS) -> ContactShape:
+def contact_shape(tan: TangentialReport, rng: random.Random) -> ContactShape:
     """Classify the tangential contact locus through the k-tangential image.
 
     Curve image => the contact locus is a divisor; surface image => it is a
     divisor iff the image surface is developable (positive-dimensional
-    Gauss fibers); implicit-backed images cannot be probed and come back
-    Indeterminate.
+    Gauss fibers, the minimum over each prime's own projection);
+    implicit-backed images cannot be probed and come back Indeterminate.
     """
-    tan = tangential_projection(spec, k, ctxs, rng)
     gamma_lower = tan.m_k
     if tan.n_k == 1:
         return ContactShape("DivisorViaCurveImage", gamma_lower)
     if tan.n_k != 2:
         return ContactShape("Indeterminate", gamma_lower)
     try:
-        fibers = []
-        for ctx in ctxs:
-            n_k, center = _tangential_once(spec, k, ctx, rng)
-            proj = ProjectFrom(spec, center, dim=n_k, bound_p=ctx.p)
-            fibers.append(gauss_fiber_dim(proj, [ctx], rng, points=1))
-        fiber = min(fibers)
+        fiber = min(gauss_fiber_dim(proj, [ctx], rng, points=1)
+                    for ctx, proj in tan.projections)
     except NotParametric:
         return ContactShape("Indeterminate", gamma_lower)
     if fiber > 0:

@@ -749,9 +749,22 @@ def _chart_int_eval(cmap: PolyMap, t: list[int]) -> list[int]:
     return out
 
 
+def _holds_projection(spec: VarietySpec) -> bool:
+    return isinstance(spec, ProjectFrom) or any(
+        _holds_projection(child) for child in vars(spec).values()
+        if isinstance(child, VarietySpec))
+
+
+def _integer_chart(child: VarietySpec) -> PolyMap:
+    """The child's chart over the integers (a projection's holds residues mod p)."""
+    if _holds_projection(child):
+        raise NotParametric("the chart of a projection depends on the prime")
+    return child.chart(PrimeContext(p=(1 << 61) - 1, seed="probe"))[0]
+
+
 def center_in_span(child: VarietySpec, s: int, rng: random.Random) -> list[list[int]]:
     """An (s+1)-row integer matrix spanning a random s-plane inside <child>."""
-    cmap, _ = child.chart(PrimeContext(p=(1 << 61) - 1, seed="probe"))
+    cmap = _integer_chart(child)
     nparams = cmap.nvars
     rows = []
     for _ in range(s + 1):
@@ -767,7 +780,7 @@ def center_in_span(child: VarietySpec, s: int, rng: random.Random) -> list[list[
 
 def center_on_points(child: VarietySpec, count: int, rng: random.Random) -> list[list[int]]:
     """Center spanned by `count` chart points of the child at integer parameters."""
-    cmap, _ = child.chart(PrimeContext(p=(1 << 61) - 1, seed="probe"))
+    cmap = _integer_chart(child)
     rows = []
     for _ in range(count):
         t = [rng.randrange(2, 10 ** 4) for _ in range(cmap.nvars)]

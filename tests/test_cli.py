@@ -97,6 +97,17 @@ class TestAnalyze:
             if "--k-range" in args:
                 assert "k range looks like 2..4" in err
 
+    def test_sampler_exhaustion_exit_2(self, tmp_path, capsys):
+        # The center contains the line (1, t, 0, 0), so every sample of the
+        # projection is zero.
+        spec = tmp_path / "collapsed.variety.json"
+        spec.write_text('{"op":"project","center":[[1,0,0,0],[0,1,0,0]],'
+                        '"child":{"op":"parametric","nvars":1,'
+                        '"coords":["1","t0","0","0"]}}')
+        assert run(["analyze", str(spec), "--k", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sampling failed") and err.count("\n") == 1, err
+
 
 class TestCatalogCommands:
     def test_list(self, tmp_path):
@@ -109,6 +120,18 @@ class TestCatalogCommands:
         assert by_family["F13"]["variants"] == ["full", "point", "line",
                                                 "line_secant"]
         assert by_family["F4"]["variants"] == ["default"]
+
+    def test_options_a_command_does_not_read_are_rejected(self, capsys):
+        # `list` measures nothing and `verify-all` prints JSON only; taking
+        # these options silently would hide a mistyped command line.
+        for args in (["catalog", "list", "--format", "markdown"],
+                     ["catalog", "list", "--trials", "7"],
+                     ["catalog", "list", "--seed", "3"],
+                     ["catalog", "verify-all", "--format", "markdown"]):
+            with pytest.raises(SystemExit) as exc:
+                run(args)
+            assert exc.value.code == 1, args
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_verify_pass(self, tmp_path, capsys):
         out = tmp_path / "rep.json"

@@ -23,10 +23,16 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "reports_golden.json"
 
 # name -> CLI arguments; spec paths are relative to the repository root.
+# The spec files under tests/specs/ are catalog entries written with
+# `dumps_spec`; each report's spec_hash pins them.
 COMMANDS = {
     "analyze-veronese-p3": ["analyze", "specs/veronese-p3.variety.json", "--k", "1"],
     "analyze-twisted-cubic": ["analyze", "specs/twisted-cubic.variety.json", "--k", "1"],
     "analyze-family-13-k2": ["analyze", "specs/family-13-k2.variety.json", "--k-max", "3"],
+    # The two contact shapes the files above do not reach: F11's image is
+    # a developable surface, F8's is implicit-backed (Indeterminate).
+    "analyze-family-11-k2": ["analyze", "tests/specs/family-11-k2.variety.json", "--k", "2"],
+    "analyze-family-8-k2": ["analyze", "tests/specs/family-8-k2.variety.json", "--k", "2"],
     # One entry per root-solving sampler: F5 is the catalog's only
     # RestrictedChart, F1 `point` a ConeSection, F8 a Hypersurface.
     "verify-F5-k4": ["catalog", "verify", "--family", "F5", "--k", "4"],
@@ -40,7 +46,7 @@ COMMANDS = {
 
 def run_report(args: list[str]) -> dict:
     """Exit code, stdout and stderr of one CLI run."""
-    args = [str(ROOT / a) if a.startswith("specs/") else a for a in args]
+    args = [str(ROOT / a) if a.endswith(".variety.json") else a for a in args]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(args)

@@ -142,6 +142,55 @@ class TestKernel:
                     assert rank(basis, p) == len(basis)
 
 
+def kernel_by_gauss_jordan(mat, p):
+    """Oracle: right kernel from a from-scratch Gauss-Jordan RREF."""
+    rows = [[a % p for a in r] for r in mat]
+    ncols = len(rows[0])
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], -1, p)
+        rows[r] = [a * inv % p for a in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = 1
+        for i, c in enumerate(pivots):
+            v[c] = (-rows[i][f]) % p
+        basis.append(v)
+    return basis
+
+
+class TestKernelAgainstGaussJordan:
+    @pytest.mark.parametrize("p", [101, 3612720013493706217])
+    def test_identical_bases(self, p):
+        # The RREF is unique, so both eliminations give the same matrix.
+        rng = derive_rng(SEED, "kernel-oracle", p)
+        for _ in range(300):
+            nrows, ncols = rng.randrange(1, 7), rng.randrange(1, 8)
+            rank_cap = rng.randrange(0, min(nrows, ncols) + 1)
+            # Rank-deficient: a product of nrows x rank_cap and rank_cap x ncols.
+            left = [[rng.randrange(p) for _ in range(rank_cap)] for _ in range(nrows)]
+            right = [[rng.randrange(p) for _ in range(ncols)] for _ in range(rank_cap)]
+            low = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)]
+                   if rank_cap else [0] * ncols for row in left]
+            full = [[rng.randrange(-p, 2 * p) for _ in range(ncols)] for _ in range(nrows)]
+            # Sparse rows put pivots out of order, so back-substitution has work.
+            sparse = [[rng.choice((0, 0, 0, rng.randrange(p))) for _ in range(ncols)]
+                      for _ in range(nrows)]
+            for mat in (low, full, sparse):
+                assert kernel_basis(mat, p) == kernel_by_gauss_jordan(mat, p), mat
+
+
 class TestSpan:
     def test_single_vector(self, ctxs):
         assert row_span_dim([[0, 3, 0]], ctxs[0].p) == 1

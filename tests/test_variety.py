@@ -298,6 +298,21 @@ class TestProjectFrom:
         spec = project_from(child, ("points", 2), rng=rng)
         assert span_dim(spec, ctxs[0], rng) == 12  # 14 independent quadrics - 2
 
+    def test_centers_below_a_projection_rejected(self):
+        # The conic (1, t, t^2, 0, 0) projected from [[1,0,0,1,0]]: its
+        # chart holds a kernel basis mod 2^61-1, so a "point" of it would
+        # be a row of residues, off the image conic x0^2 + x1*x2 = 0 for
+        # other primes.  Under a Segre or Veronese node just the same.
+        nv = 1
+        conic = parametric([MPoly.constant(nv, 1), MPoly.variable(nv, 0),
+                            MPoly.variable(nv, 0) * MPoly.variable(nv, 0),
+                            MPoly.zero(nv), MPoly.zero(nv)])
+        proj = ProjectFrom(conic, [[1, 0, 0, 1, 0]])
+        for spec in (proj, segre_pair(projective_space(1), proj), veronese(proj, 2)):
+            for center in (("points", 1), ("span", 0)):
+                with pytest.raises(NotParametric):
+                    project_from(spec, center, rng=derive_rng(SEED, "below"))
+
 
 class TestSpanDim:
     def test_rational_normal_curves(self, ctxs, rng):
