@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .linalg import PrimeContext, RowReducer
+from .linalg import PrimeContext, fold
 from .variety import VarietySpec, span_dim
 
 
@@ -49,13 +49,9 @@ def hilbert2(spec: VarietySpec, ctxs: list[PrimeContext],
     nsamples = len(pairs) + 8
     for ctx in ctxs:
         p = ctx.p
-        red = RowReducer(p)
-        for _ in range(nsamples):
-            q = spec.sample(ctx, rng).point
-            red.add([q[i] * q[j] % p for i, j in pairs])
-            if red.rank == len(pairs):
-                break
-        best = max(best, red.rank)
+        points = (spec.sample(ctx, rng).point for _ in range(nsamples))
+        rows = ([q[i] * q[j] % p for i, j in pairs] for q in points)
+        best = max(best, fold(rows, p, len(pairs)).rank)
     return best
 
 

@@ -13,6 +13,7 @@ Field elements are plain ints in [0, p); a matrix is a list of rows.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 # Witnesses making Miller-Rabin deterministic for all n < 3.3 * 10**24,
@@ -78,11 +79,17 @@ def derive_rng(seed: int, *labels: object) -> random.Random:
 
 
 def make_contexts(seed: int, count: int = 2, bits: int = 62) -> list[PrimeContext]:
-    """Draw `count` independent primes for cross-checked exact computations."""
-    out = []
+    """Draw `count` distinct primes; prime i's own stream is redrawn on a repeat."""
+    out: list[PrimeContext] = []
     for i in range(count):
-        label = f"{seed}:prime{i}"
-        out.append(random_prime(bits, derive_rng(seed, "prime", i), seed_label=label))
+        rng = derive_rng(seed, "prime", i)
+        for _ in range(SAMPLE_RETRIES):
+            ctx = random_prime(bits, rng, seed_label=f"{seed}:prime{i}")
+            if all(ctx.p != c.p for c in out):
+                break
+        else:
+            raise ValueError(f"could not draw {count} distinct {bits}-bit primes")
+        out.append(ctx)
     return out
 
 
@@ -126,17 +133,18 @@ class RowReducer:
         return not any(self.residual(row))
 
 
-def _fold(mat: list[list[int]], p: int) -> RowReducer:
-    """A RowReducer holding the row space of `mat`."""
+def fold(rows: Iterable[list[int]], p: int, full: int | None = None) -> RowReducer:
+    """A RowReducer holding the span of `rows`, read lazily until its rank is `full`."""
     red = RowReducer(p)
-    for row in mat:
-        red.add(row)
+    for row in rows:
+        if red.add(row) and red.rank == full:
+            break
     return red
 
 
 def rank(mat: list[list[int]], p: int) -> int:
     """Row rank of an integer matrix modulo p, by Gaussian elimination."""
-    return _fold(mat, p).rank
+    return fold(mat, p).rank
 
 
 def row_span_dim(rows: list[list[int]], p: int) -> int:
@@ -151,7 +159,7 @@ def row_span_dim(rows: list[list[int]], p: int) -> int:
 
 def row_basis(mat: list[list[int]], p: int) -> list[list[int]]:
     """A normalized basis of the row space (echelon rows, pivot-sorted)."""
-    red = _fold(mat, p)
+    red = fold(mat, p)
     return [red.pivots[c] for c in sorted(red.pivots)]
 
 
@@ -163,7 +171,7 @@ def kernel_basis(mat: list[list[int]], p: int) -> list[list[int]]:
     if not mat:
         raise ValueError("kernel of an empty matrix is ambiguous")
     ncols = len(mat[0])
-    red = _fold(mat, p)
+    red = fold(mat, p)
     pivots = sorted(red.pivots)
     rref = [red.pivots[c] for c in pivots]
     # The echelon rows are zero left of their pivots; clearing each pivot

@@ -100,12 +100,13 @@ class ContactShape:
 
 
 def _chain_once(spec: VarietySpec, k: int, ctx: PrimeContext,
-                rng: random.Random) -> list[int]:
-    """One trial: ranks of stacked frames of 1..k+1 independent samples, minus 1."""
+                rng: random.Random, points: list[list[int]]) -> list[int]:
+    """One trial: ranks of stacked frames of 1..k+1 samples, minus 1; appends their points."""
     red = RowReducer(ctx.p)
     chain = []
     for _ in range(k + 1):
         pf = spec.sample(ctx, rng)
+        points.append(pf.point)
         for row in pf.frame:
             red.add(row)
         chain.append(red.rank - 1)
@@ -118,15 +119,21 @@ def secant_dim(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
 
     Each s^(h) is the maximum over `trials` independent trials and all
     primes of rank(stacked frames of h+1 samples) - 1.
+
+    The span r + 1 reads each prime's chain points first and draws more only
+    while short of full rank.  Draws are shared across measurements, never
+    within one, so the trials stay independent; a reused point lies on X and
+    can only lower the span's rank, the one-sided error the maxima absorb.
     """
     if k < 0 or trials < 1:
         raise ValueError("need k >= 0 and trials >= 1")
     chains = []
     spans = []
     for ctx in ctxs:
-        spans.append(span_dim(spec, ctx, rng))
+        points: list[list[int]] = []
         for _ in range(trials):
-            chains.append(_chain_once(spec, k, ctx, rng))
+            chains.append(_chain_once(spec, k, ctx, rng, points))
+        spans.append(span_dim(spec, ctx, rng, points=points))
     r = max(spans) - 1
     chain = [max(c[h] for c in chains) for h in range(k + 1)]
     agreement = all(c == chain for c in chains) and all(s - 1 == r for s in spans)

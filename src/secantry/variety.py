@@ -26,9 +26,10 @@ import hashlib
 import itertools
 import json
 import random
+from collections.abc import Sequence
 
 from . import linalg, uniroots
-from .linalg import PrimeContext, RowReducer, SAMPLE_RETRIES
+from .linalg import PrimeContext, SAMPLE_RETRIES
 from .mpoly import (MPoly, PolyMap, monomial_exponents, parse_poly, poly_str,
                     random_poly)
 
@@ -799,21 +800,18 @@ def random_center(ambient: int, s: int, rng: random.Random) -> list[list[int]]:
 
 
 def span_dim(spec: VarietySpec, ctx: PrimeContext, rng: random.Random,
-             samples: int | None = None) -> int:
+             samples: int | None = None, points: Sequence[list[int]] = ()) -> int:
     """h_X(1): the number of independent coordinates on X, i.e. dim<X> + 1.
 
-    Draws at least ambient+2 samples so a rank deficit reflects the variety,
-    not undersampling.
+    Reads the given `points` of X first, then fresh samples, until the rank
+    is full or `samples` (at least ambient+2) points were read in all, so a
+    rank deficit reflects the variety, not undersampling.
     """
     n = samples if samples is not None else spec.ambient + 2
     if n < spec.ambient + 2:
         raise ValueError("need at least ambient+2 samples")
-    red = RowReducer(ctx.p)
-    for _ in range(n):
-        red.add(spec.sample(ctx, rng).point)
-        if red.rank == spec.ambient + 1:
-            break
-    return red.rank
+    fresh = (spec.sample(ctx, rng).point for _ in range(n - len(points)))
+    return linalg.fold(itertools.chain(points, fresh), ctx.p, spec.ambient + 1).rank
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,12 @@ COMMANDS = {
     # a developable surface, F8's is implicit-backed (Indeterminate).
     "analyze-family-11-k2": ["analyze", "tests/specs/family-11-k2.variety.json", "--k", "2"],
     "analyze-family-8-k2": ["analyze", "tests/specs/family-8-k2.variety.json", "--k", "2"],
+    # The span folds the chain trials' points first: 5 trials x 2 samples
+    # of the Segre P^3 x P^3 in P^15 fall short of 16 and the span draws
+    # more; with --k-max 3, 20 points fill it.
+    "analyze-ex-segre-k2": ["analyze", "tests/specs/ex-segre-k2.variety.json", "--k", "1"],
+    "analyze-ex-segre-k2-kmax3": ["analyze", "tests/specs/ex-segre-k2.variety.json",
+                                  "--k", "1", "--k-max", "3"],
     # One entry per root-solving sampler: F5 is the catalog's only
     # RestrictedChart, F1 `point` a ConeSection, F8 a Hypersurface.
     "verify-F5-k4": ["catalog", "verify", "--family", "F5", "--k", "4"],

@@ -67,6 +67,20 @@ class TestPrimality:
         a, b = make_contexts(SEED)
         assert a.p != b.p
 
+    def test_make_contexts_distinct_at_small_bits(self):
+        # 41 of these seeds draw the same 6-bit prime twice from the two
+        # streams; the second stream is then drawn again.  The first prime
+        # is always its stream's first draw.
+        for seed in range(300):
+            a, b = make_contexts(seed, bits=6)
+            assert a.p != b.p and 32 <= b.p < 64
+            assert a == random_prime(6, derive_rng(seed, "prime", 0), f"{seed}:prime0")
+
+    def test_make_contexts_too_few_primes(self):
+        # 5 and 7 are the only 3-bit primes: a third is never drawn.
+        with pytest.raises(ValueError, match="distinct"):
+            make_contexts(0, count=3, bits=3)
+
     def test_context_rejects_composite(self):
         with pytest.raises(ValueError):
             PrimeContext(p=2**61, seed="bad")

@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from secantry import terracini
+from secantry import terracini, uniroots
 from secantry.catalog import build_family
 from secantry.linalg import RowReducer, derive_rng
 from secantry.terracini import (contact_shape, defect, expected_secant_dim,
                                 gauss_fiber_dim, min_defective_scan,
                                 secant_dim, tangential_projection)
-from secantry.variety import (NotParametric, cone_over, join_linear,
-                              projective_space, random_center,
-                              rational_normal_curve, scroll, segre_pair,
-                              veronese)
+from secantry.mpoly import parse_poly
+from secantry.variety import (NotParametric, VarietySpec, cone_over,
+                              hypersurface, join_linear, projective_space,
+                              random_center, rational_normal_curve, scroll,
+                              segre_pair, span_dim, veronese)
 
 from conftest import SEED
 
@@ -46,6 +49,63 @@ class TestSecantDim:
         assert expected_secant_dim(9, 3, 1) == 7
         assert expected_secant_dim(5, 3, 1) == 5
         assert expected_secant_dim(17, 3, 3) == 15
+
+
+class TestSpanReuse:
+    """The span reads the points the chain trials drew before drawing more."""
+
+    def test_spanning_points_draw_nothing(self, ctxs, rng, monkeypatch):
+        spec = rational_normal_curve(3)
+        points = [spec.sample(ctxs[0], rng).point for _ in range(4)]
+        state = rng.getstate()
+
+        def refuse(self, ctx, rng):
+            raise AssertionError("span_dim drew a sample")
+
+        monkeypatch.setattr(VarietySpec, "sample", refuse)
+        assert span_dim(spec, ctxs[0], rng, points=points) == 4
+        assert rng.getstate() == state
+
+    # The twisted cubic's 5 x 2 chain points fill P^3; those of the Segre
+    # P^3 x P^3 fall short of its P^15, so the span draws the rest.
+    @pytest.mark.parametrize("make, k, r", [
+        (lambda: rational_normal_curve(3), 1, 3),
+        (lambda: segre_pair(projective_space(3), projective_space(3)), 1, 15),
+    ], ids=["twisted-cubic", "segre-p3-p3"])
+    def test_top_level_draws_per_prime(self, ctxs, monkeypatch, make, k, r):
+        spec = make()
+        drawn = Counter()
+        sample = VarietySpec.sample
+
+        def counting(self, ctx, rng):
+            if self is spec:
+                drawn[ctx.p] += 1
+            return sample(self, ctx, rng)
+
+        monkeypatch.setattr(VarietySpec, "sample", counting)
+        trials = 5
+        rep = secant_dim(spec, k, ctxs, derive_rng(SEED, "draws"), trials)
+        assert rep.r == r and rep.agreement
+        chain_draws = trials * (k + 1)
+        bound = chain_draws + max(0, spec.ambient + 2 - chain_draws)
+        assert sorted(drawn) == sorted(c.p for c in ctxs)
+        assert all(chain_draws <= n <= bound for n in drawn.values())
+
+    def test_wrong_root_surfaces(self, ctxs, rng, monkeypatch):
+        # A top-up draw that yields a non-root raises instead of being
+        # resampled, as a chain draw does.
+        spec = hypersurface(2, parse_poly("x0^2 + x1^2 - x2^2", 3))
+        point = spec.sample(ctxs[0], rng).point
+
+        def value(f, t, p):
+            return sum(c * t ** i for i, c in enumerate(f)) % p
+
+        monkeypatch.setattr(uniroots, "roots", lambda f, p, rng: [
+            next(t for t in range(len(f)) if value(f, t, p))])
+        with pytest.raises(ArithmeticError, match="does not satisfy"):
+            span_dim(spec, ctxs[0], rng, points=[point])
+        with pytest.raises(ArithmeticError, match="does not satisfy"):
+            secant_dim(spec, 1, ctxs, rng)
 
 
 class TestDefect:
