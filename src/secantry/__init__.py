@@ -12,8 +12,7 @@ from .catalog import (CatalogEntry, Expected, NotConstructible, VerifyResult,
 from .hilbert import (HilbertReport, MinimalDegreeViolated, castelnuovo_bound,
                       check_quadric_bounds, hilbert2, hilbert_report)
 from .linalg import (PrimeContext, derive_rng, is_prime_u64, kernel_basis,
-                     make_contexts, random_prime, rank, row_basis,
-                     row_span_dim)
+                     make_contexts, random_prime, rank, row_basis)
 from .mpoly import MPoly, PolyMap, parse_poly, poly_str, random_poly
 from .terracini import (ContactShape, SecantReport, TangentialReport,
                         contact_shape, defect, expected_secant_dim,

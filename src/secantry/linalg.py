@@ -8,6 +8,13 @@ can only *drop* a rank, never raise it (the Schwartz-Zippel direction), so
 the maximum observed value across primes and trials is the accepted one.
 
 Field elements are plain ints in [0, p); a matrix is a list of rows.
+
+RowReducer eliminates a row wider than PACK_MIN_WIDTH as one packed int:
+column i in bits [i*s, (i+1)*s), slots starting in [0, p), one pivot step
+`r += (p - c) * pivot`, one reduction mod p at the end.  A step adds under
+p**2 to a slot, in at most `width` steps, so slots stay below width*p**2 + p
+< 2**s and never carry for s >= 2*p.bit_length() + width.bit_length() + 1.
+Narrower rows meet few nonzero pivot coefficients; lists are faster there.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ from dataclasses import dataclass
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 SAMPLE_RETRIES = 32
+# Rows wider than this are eliminated as packed ints (see the module docstring).
+PACK_MIN_WIDTH = 40
 
 
 def is_prime_u64(n: int) -> bool:
@@ -98,26 +107,49 @@ class RowReducer:
 
     Rows are fed one at a time; each independent row is normalized (pivot 1)
     and stored keyed by its pivot column.  Supports rank queries and
-    membership tests against the accumulated row space.
+    membership tests against the accumulated row space.  The first row
+    fixes the width: a row of any other width raises ValueError.  `pivots`
+    holds lists even when rows are eliminated packed.
     """
 
     def __init__(self, p: int):
         self.p = p
         self.pivots: dict[int, list[int]] = {}
+        self._width: int | None = None
+        self._nbytes = 0  # bytes per packed slot; 0 when rows are reduced as lists
+        self._packed: list[tuple[int, int]] = []  # (slot shift, packed pivot row)
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
+    def _pack(self, r: list[int]) -> int:
+        return int.from_bytes(b"".join(a.to_bytes(self._nbytes, "little") for a in r), "little")
+
     def residual(self, row: list[int]) -> list[int]:
         """Reduce `row` against the stored pivot rows; result has zeros in pivot columns."""
-        p = self.p
+        if len(row) != self._width:
+            if self._width is not None:
+                raise ValueError(f"row of width {len(row)} in a span of width {self._width}")
+            self._width = n = len(row)
+            if n > PACK_MIN_WIDTH:  # slot bits, rounded up to bytes (module docstring)
+                self._nbytes = -(-(2 * self.p.bit_length() + n.bit_length() + 1) // 8)
+        p, nbytes = self.p, self._nbytes
         r = [a % p for a in row]
-        for col, prow in self.pivots.items():
-            c = r[col]
+        if not nbytes:
+            for col, prow in self.pivots.items():
+                c = r[col]
+                if c:
+                    r = [(a - c * b) % p for a, b in zip(r, prow)]
+            return r
+        packed, mask = self._pack(r), (1 << 8 * nbytes) - 1
+        for shift, prow in self._packed:
+            c = (packed >> shift & mask) % p
             if c:
-                r = [(a - c * b) % p for a, b in zip(r, prow)]
-        return r
+                packed += (p - c) * prow
+        raw = packed.to_bytes(nbytes * len(r), "little")
+        return [int.from_bytes(raw[i:i + nbytes], "little") % p
+                for i in range(0, len(raw), nbytes)]
 
     def add(self, row: list[int]) -> bool:
         """Fold a row in; return True when it increased the rank."""
@@ -125,7 +157,9 @@ class RowReducer:
         for col, val in enumerate(r):
             if val:
                 inv = pow(val, -1, self.p)
-                self.pivots[col] = [a * inv % self.p for a in r]
+                prow = self.pivots[col] = [a * inv % self.p for a in r]
+                if self._nbytes:
+                    self._packed.append((8 * self._nbytes * col, self._pack(prow)))
                 return True
         return False
 
@@ -145,16 +179,6 @@ def fold(rows: Iterable[list[int]], p: int, full: int | None = None) -> RowReduc
 def rank(mat: list[list[int]], p: int) -> int:
     """Row rank of an integer matrix modulo p, by Gaussian elimination."""
     return fold(mat, p).rank
-
-
-def row_span_dim(rows: list[list[int]], p: int) -> int:
-    """Dimension of the span of the given vectors over F_p."""
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("vectors must all have the same length")
-    return rank(rows, p)
 
 
 def row_basis(mat: list[list[int]], p: int) -> list[list[int]]:

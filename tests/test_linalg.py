@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from secantry.linalg import (PrimeContext, derive_rng, is_prime_u64,
-                             kernel_basis, make_contexts, random_prime, rank,
-                             row_basis, row_span_dim)
+from secantry.linalg import (PACK_MIN_WIDTH, PrimeContext, RowReducer,
+                             derive_rng, is_prime_u64, kernel_basis,
+                             make_contexts, random_prime, rank, row_basis)
 
 from conftest import SEED
 
@@ -207,22 +207,22 @@ class TestKernelAgainstGaussJordan:
 
 class TestSpan:
     def test_single_vector(self, ctxs):
-        assert row_span_dim([[0, 3, 0]], ctxs[0].p) == 1
+        assert rank([[0, 3, 0]], ctxs[0].p) == 1
 
     def test_dependent_pair(self, ctxs):
         p = ctxs[0].p
         v = [1, 5, 9]
-        assert row_span_dim([v, [2 * x % p for x in v]], p) == 1
+        assert rank([v, [2 * x % p for x in v]], p) == 1
 
     def test_random_full_rank_vs_fraction_oracle(self, ctxs, rng):
         mat = [[rng.randrange(100) for _ in range(9)] for _ in range(5)]
         expected = fraction_rank(mat)
         for ctx in ctxs:
-            assert row_span_dim(mat, ctx.p) == expected
+            assert rank(mat, ctx.p) == expected
 
     def test_length_mismatch(self, ctxs):
         with pytest.raises(ValueError):
-            row_span_dim([[1, 2], [1, 2, 3]], ctxs[0].p)
+            rank([[1, 2], [1, 2, 3]], ctxs[0].p)
 
     def test_row_basis_spans(self, ctxs, rng):
         p = ctxs[0].p
@@ -230,3 +230,103 @@ class TestSpan:
         basis = row_basis(mat, p)
         assert rank(basis, p) == rank(mat, p) == len(basis)
         assert rank(basis + mat, p) == len(basis)
+
+
+class TestRaggedRows:
+    """The first row fixes a reducer's width; any other width raises."""
+
+    def test_rank_rejects_a_short_row(self):
+        with pytest.raises(ValueError, match="width"):
+            rank([[1, 2], [3]], 101)
+
+    def test_kernel_rejects_a_short_row(self):
+        with pytest.raises(ValueError, match="width"):
+            kernel_basis([[1, 2, 3], [4]], 101)
+
+    @pytest.mark.parametrize("width", [3, PACK_MIN_WIDTH + 1])
+    def test_contains_and_add_reject_other_widths(self, width):
+        red = RowReducer(101)
+        red.add([1] * width)
+        for other in ([1] * (width - 1), [1] * (width + 1)):
+            with pytest.raises(ValueError, match="width"):
+                red.contains(other)
+            with pytest.raises(ValueError, match="width"):
+                red.add(other)
+        assert red.contains([2] * width)
+
+
+class ListReducer:
+    """Oracle: the plain list elimination, pivots keyed by column in insertion order."""
+
+    def __init__(self, p):
+        self.p = p
+        self.pivots = {}
+
+    def residual(self, row):
+        p = self.p
+        r = [a % p for a in row]
+        for col, prow in self.pivots.items():
+            c = r[col]
+            if c:
+                r = [(a - c * b) % p for a, b in zip(r, prow)]
+        return r
+
+    def add(self, row):
+        r = self.residual(row)
+        col = next((i for i, a in enumerate(r) if a), None)
+        if col is not None:
+            inv = pow(r[col], -1, self.p)
+            self.pivots[col] = [a * inv % self.p for a in r]
+        return col is not None
+
+
+def packed_path_rows(rng, p, width, nrows):
+    """Dense, sparse, rank-deficient and zero rows, shuffled together."""
+    dense = [[rng.randrange(-p, 2 * p) for _ in range(width)] for _ in range(nrows)]
+    sparse = [[rng.choice((0, 0, 0, 0, rng.randrange(p))) for _ in range(width)]
+              for _ in range(nrows)]
+    basis = [[rng.randrange(p) for _ in range(width)] for _ in range(3)]
+    low = [[sum(rng.randrange(p) * b[i] for b in basis) % p for i in range(width)]
+           for _ in range(nrows)]
+    rows = dense + sparse + low + [[0] * width] * 3
+    rng.shuffle(rows)
+    return rows
+
+
+class TestPackedElimination:
+    PRIMES = [2, 3, 101, 2**61 - 1, 3612720013493706217]
+    WIDTHS = [PACK_MIN_WIDTH, PACK_MIN_WIDTH + 1, 120, 330]
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_matches_list_oracle(self, p, width):
+        rng = derive_rng(SEED, "packed-oracle", p, width)
+        red, oracle = RowReducer(p), ListReducer(p)
+        for row in packed_path_rows(rng, p, width, nrows=8):
+            assert red.add(row) == oracle.add(row)
+        assert list(red.pivots.items()) == list(oracle.pivots.items())
+        assert bool(red._packed) == (width > PACK_MIN_WIDTH)
+        for probe in packed_path_rows(rng, p, width, nrows=2):
+            assert red.residual(probe) == oracle.residual(probe)
+            assert red.contains(probe) == (not any(oracle.residual(probe)))
+        coeffs = [rng.randrange(p) for _ in red.pivots]
+        inside = [sum(c * a for c, a in zip(coeffs, col)) for col in zip(*red.pivots.values())]
+        assert red.contains(inside)
+
+    @pytest.mark.parametrize("full_rank", [True, False])
+    def test_worst_case_slot_growth(self, full_rank):
+        # Upper unitriangular pivots with p - 1 in every entry right of the
+        # pivot, and a probe whose coefficient is 1 at every pivot step: each
+        # step adds (p - 1) * (p - 1) to every later slot, the largest
+        # increment, and the last slot takes width - 1 of them.
+        p, width = 3612720013493706217, 330
+        pivots = [[0] * i + [1] + [p - 1] * (width - i - 1) for i in range(width)]
+        if not full_rank:
+            pivots.pop()
+        red, oracle = RowReducer(p), ListReducer(p)
+        for row in pivots:
+            assert red.add(row) and oracle.add(row)
+        probe = [(1 - j) % p for j in range(width)]
+        assert red.residual(probe) == oracle.residual(probe)
+        assert any(oracle.residual(probe)) != full_rank
+        assert red.contains(probe) == full_rank
