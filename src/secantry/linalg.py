@@ -59,27 +59,26 @@ def is_prime_u64(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeContext:
-    """A prime modulus plus the seed label it was drawn from.
+    """A prime modulus.
 
     Invariant: p is prime and 2**(bits-1) <= p < 2**bits for bits = 62.
     """
 
     p: int
-    seed: str
 
     def __post_init__(self) -> None:
         if not is_prime_u64(self.p):
             raise ValueError(f"{self.p} is not prime")
 
 
-def random_prime(bits: int, rng: random.Random, seed_label: str = "") -> PrimeContext:
+def random_prime(bits: int, rng: random.Random) -> PrimeContext:
     """Draw a uniform random prime in [2**(bits-1), 2**bits)."""
     if bits < 3:
         raise ValueError("bits too small")
     while True:
         cand = rng.randrange(1 << (bits - 1), 1 << bits) | 1
         if is_prime_u64(cand):
-            return PrimeContext(p=cand, seed=seed_label)
+            return PrimeContext(p=cand)
 
 
 def derive_rng(seed: int, *labels: object) -> random.Random:
@@ -93,7 +92,7 @@ def make_contexts(seed: int, count: int = 2, bits: int = 62) -> list[PrimeContex
     for i in range(count):
         rng = derive_rng(seed, "prime", i)
         for _ in range(SAMPLE_RETRIES):
-            ctx = random_prime(bits, rng, seed_label=f"{seed}:prime{i}")
+            ctx = random_prime(bits, rng)
             if all(ctx.p != c.p for c in out):
                 break
         else:

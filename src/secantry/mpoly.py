@@ -211,9 +211,6 @@ class PolyMap:
         self.nvars = nvars
         self.coords = list(coords)
 
-    def __len__(self) -> int:
-        return len(self.coords)
-
     def eval(self, point: list[int], p: int) -> list[int]:
         return [c.eval(point, p) for c in self.coords]
 
@@ -253,9 +250,6 @@ class PolyMap:
                 acc = MPoly.zero(self.nvars)
             new.append(acc)
         return PolyMap(self.nvars, new)
-
-    def max_degree(self) -> int:
-        return max(c.degree() for c in self.coords)
 
 
 # -- monomial bookkeeping ----------------------------------------------------

@@ -1,10 +1,16 @@
 """Projective varieties as composable constructor trees with one sampler contract.
 
-Every node can produce a random point on the affine cone of the variety
-together with a frame: an (n+1)-row matrix spanning the affine tangent
-space of the cone at that point (n = projective dimension).  With tangent
-spaces in this affine-cone form, every dimension question downstream
-becomes a matrix rank minus one.
+Every node's `sample` returns a random nonzero point on the affine cone
+of the variety and a frame: a basis of exactly n+1 rows spanning the
+affine tangent space of the cone there (n = projective dimension), so
+every dimension question downstream becomes a matrix rank minus one.  A
+node's `_sample_once` raises `_Resample(cause)` on a degenerate draw.
+`_framed` checks every frame's size (`frame_rank`) but Hypersurface's, the
+kernel of one nonzero gradient row.  The leaves (Parametric, Hypersurface,
+RestrictedChart) reject a zero point (`zero_point`), as do ProjectFrom and
+JoinLinear, whose linear maps can zero one (`center`).  No other node can:
+Veronese's point holds q_i^d != 0 for a nonzero child coordinate q_i,
+SegrePair's is a tensor of two nonzero vectors, and cones extend theirs.
 
 Constructor trees hold only *integer* data (polynomial coefficients,
 center matrices), so one tree can be sampled under several primes; the
@@ -26,7 +32,9 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from collections.abc import Sequence
+from typing import NamedTuple
 
 from . import linalg, uniroots
 from .linalg import PrimeContext, SAMPLE_RETRIES
@@ -57,25 +65,27 @@ class _Resample(Exception):
         self.cause = cause
 
 
-def _pick_root(f: list[int], p: int, rng: random.Random) -> int:
-    """A uniformly drawn root of the univariate restriction f, or a resample."""
+def _pick_root(g: MPoly, values: list[int], j: int, p: int, rng: random.Random) -> list[int]:
+    """`values` with slot j set to a uniformly drawn root of g restricted to that slot."""
+    f = g.to_univariate(values[:j] + [None] + values[j + 1:], p)
     if not f:
         raise _Resample("zero_restriction")
     rts = uniroots.roots(f, p, rng)
     if not rts:
         raise _Resample("no_root")
-    return rts[rng.randrange(len(rts))]
+    return values[:j] + [rts[rng.randrange(len(rts))]] + values[j + 1:]
 
 
-class PointFrame:
+def _section(rows: list[list[int]], pairing: list[int], p: int) -> list[list[int]]:
+    """The combinations c . rows whose coefficients c are orthogonal to `pairing`."""
+    return linalg.apply_map(linalg.kernel_basis([pairing], p), list(zip(*rows)), p)
+
+
+class PointFrame(NamedTuple):
     """A point on the affine cone plus a basis of the cone tangent there."""
 
-    __slots__ = ("p", "point", "frame")
-
-    def __init__(self, p: int, point: list[int], frame: list[list[int]]):
-        self.p = p
-        self.point = point
-        self.frame = frame
+    point: list[int]
+    frame: list[list[int]]
 
 
 class VarietySpec:
@@ -116,11 +126,12 @@ class VarietySpec:
         return f"{type(self).__name__}(dim={self.dim}, ambient={self.ambient})"
 
 
-def _frame_from_rows(rows: list[list[int]], want_rank: int, p: int) -> list[list[int]]:
+def _framed(spec: VarietySpec, point: list[int], rows: list[list[int]], p: int) -> PointFrame:
+    """`point` with the row basis of `rows` as its frame; a resample unless it has dim+1 rows."""
     basis = linalg.row_basis(rows, p)
-    if len(basis) != want_rank:
+    if len(basis) != spec.dim + 1:
         raise _Resample("frame_rank")
-    return basis
+    return PointFrame(point, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +158,7 @@ class Parametric(VarietySpec):
         if not any(point):
             raise _Resample("zero_point")
         rows = [point] + self.map.partial_rows(t, p)
-        frame = _frame_from_rows(rows, self.dim + 1, p)
-        return PointFrame(p, point, frame)
+        return _framed(self, point, rows, p)
 
     def chart(self, ctx):
         return self.map, ("scaled" if self.scaled else "affine")
@@ -206,11 +216,8 @@ class Veronese(VarietySpec):
         p = ctx.p
         pf = self.child.sample(ctx, rng)
         point = self._push_point(pf.point, p)
-        if not any(point):
-            raise _Resample("zero_point")
         rows = [point] + [self._push_dir(pf.point, v, p) for v in pf.frame]
-        frame = _frame_from_rows(rows, self.dim + 1, p)
-        return PointFrame(p, point, frame)
+        return _framed(self, point, rows, p)
 
     def chart(self, ctx):
         cmap, kind = self.child.chart(ctx)
@@ -240,12 +247,9 @@ class SegrePair(VarietySpec):
             return [x * y % p for x in u for y in v]
 
         point = tensor(a.point, b.point)
-        if not any(point):
-            raise _Resample("zero_point")
         rows = [tensor(fa, b.point) for fa in a.frame]
         rows += [tensor(a.point, fb) for fb in b.frame]
-        frame = _frame_from_rows(rows, self.dim + 1, p)
-        return PointFrame(p, point, frame)
+        return _framed(self, point, rows, p)
 
     def chart(self, ctx):
         lmap, lkind = self.left.chart(ctx)
@@ -286,8 +290,7 @@ class ConeOver(VarietySpec):
             e = [0] * (self.ambient + 1)
             e[self.child.ambient + 1 + i] = 1
             rows.append(e)
-        frame = _frame_from_rows(rows, self.dim + 1, p)
-        return PointFrame(p, point, frame)
+        return _framed(self, point, rows, p)
 
     def chart(self, ctx):
         cmap, kind = self.child.chart(ctx)
@@ -331,9 +334,9 @@ class ProjectFrom(VarietySpec):
             raise ValueError("this projection is bound to a different prime")
         kmap = self._kmaps.get(ctx.p)
         if kmap is None:
-            if linalg.rank(self.center, ctx.p) != len(self.center):
-                raise ValueError("projection center rows are dependent mod p")
             kmap = linalg.kernel_basis(self.center, ctx.p)
+            if len(kmap) != self.ambient + 1:
+                raise ValueError("projection center rows are dependent mod p")
             self._kmaps[ctx.p] = kmap
         return kmap
 
@@ -345,8 +348,7 @@ class ProjectFrom(VarietySpec):
         if not any(point):
             raise _Resample("center")
         rows = linalg.apply_map(pf.frame, kmap, p)
-        frame = _frame_from_rows(rows, self.dim + 1, p)
-        return PointFrame(p, point, frame)
+        return _framed(self, point, rows, p)
 
     def chart(self, ctx):
         cmap, kind = self.child.chart(ctx)
@@ -386,10 +388,7 @@ class Hypersurface(VarietySpec):
     def _sample_once(self, ctx, rng):
         p = ctx.p
         j = rng.randrange(self.m + 1)
-        values: list[int | None] = [rng.randrange(p) for _ in range(self.m + 1)]
-        values[j] = None
-        values[j] = _pick_root(self.g.to_univariate(values, p), p, rng)
-        point = [int(v) for v in values]  # type: ignore[arg-type]
+        point = _pick_root(self.g, [rng.randrange(p) for _ in range(self.m + 1)], j, p, rng)
         if not any(point):
             raise _Resample("zero_point")
         value, grad = self.g.grad_eval(point, p)
@@ -398,10 +397,7 @@ class Hypersurface(VarietySpec):
             raise ArithmeticError("sampled point does not satisfy the equation")
         if not any(grad):
             raise _Resample("singular_point")
-        frame = linalg.kernel_basis([grad], p)
-        if len(frame) != self.dim + 1:
-            raise _Resample("frame_rank")
-        return PointFrame(p, point, frame)
+        return PointFrame(point, linalg.kernel_basis([grad], p))
 
     def to_obj(self):
         return {"op": "hypersurface", "m": self.m, "equation": poly_str(self.g)}
@@ -429,16 +425,12 @@ class RestrictedChart(VarietySpec):
         self.solve_var = solve_var
         self.dim = chart.nvars - 1
         self.ambient = len(chart.coords) - 1
-        self.degree = None
         self._ctor = ctor
 
     def _sample_once(self, ctx, rng):
         p = ctx.p
-        sv = self.solve_var
-        params: list[int | None] = [rng.randrange(p) for _ in range(self.chart_map.nvars)]
-        params[sv] = None
-        params[sv] = _pick_root(self.pullback.to_univariate(params, p), p, rng)
-        t = [int(v) for v in params]  # type: ignore[arg-type]
+        t = _pick_root(self.pullback, [rng.randrange(p) for _ in range(self.chart_map.nvars)],
+                       self.solve_var, p, rng)
         point = self.chart_map.eval(t, p)
         if not any(point):
             raise _Resample("zero_point")
@@ -446,12 +438,8 @@ class RestrictedChart(VarietySpec):
         _, w = self.pullback.grad_eval(t, p)
         if not any(w):
             raise _Resample("singular_point")
-        jac = self.chart_map.partial_rows(t, p)
-        dirs = linalg.kernel_basis([w], p)
-        rows = [point] + [[sum(d[j] * jac[j][ci] for j in range(len(jac))) % p
-                           for ci in range(self.ambient + 1)] for d in dirs]
-        frame = _frame_from_rows(rows, self.dim + 1, p)
-        return PointFrame(p, point, frame)
+        rows = [point] + _section(self.chart_map.partial_rows(t, p), w, p)
+        return _framed(self, point, rows, p)
 
     def to_obj(self):
         if self._ctor is not None:
@@ -482,28 +470,20 @@ class ConeSection(VarietySpec):
         self.g = equation
         self.dim = child.dim
         self.ambient = child.ambient + 1
-        self.degree = None
 
     def _sample_once(self, ctx, rng):
         p = ctx.p
         pf = self.child.sample(ctx, rng)
-        values: list[int | None] = [v for v in pf.point] + [None]
-        w = _pick_root(self.g.to_univariate(values, p), p, rng)
-        point = pf.point + [w]
+        point = _pick_root(self.g, pf.point + [0], self.ambient, p, rng)
         _, grad = self.g.grad_eval(point, p)
         if not any(grad):
             raise _Resample("singular_point")
         ruling = [0] * (self.ambient + 1)
         ruling[-1] = 1
         big = [row + [0] for row in pf.frame] + [ruling]
-        # Intersect span(big) with the gradient hyperplane: combinations c of
-        # the spanning rows with (c . big) . grad = 0.
-        pairing = [sum(a * b for a, b in zip(row, grad)) % p for row in big]
-        combos = linalg.kernel_basis([pairing], p)
-        rows = [[sum(c[i] * big[i][j] for i in range(len(big))) % p
-                 for j in range(self.ambient + 1)] for c in combos]
-        frame = _frame_from_rows(rows, self.dim + 1, p)
-        return PointFrame(p, point, frame)
+        # The tangent space is span(big) cut by the gradient hyperplane.
+        rows = _section(big, linalg.mat_vec(big, grad, p), p)
+        return _framed(self, point, rows, p)
 
     def to_obj(self):
         return {"op": "cone_section", "equation": poly_str(self.g),
@@ -520,13 +500,12 @@ class JoinLinear(VarietySpec):
     """
 
     def __init__(self, child: VarietySpec, block: list[list[int]]):
-        if not block or len(block[0]) != child.ambient + 1:
+        if not block or any(len(row) != child.ambient + 1 for row in block):
             raise ValueError("block matrix width must be child ambient + 1")
         self.child = child
         self.block = [list(r) for r in block]
         self.dim = child.dim + 1
         self.ambient = child.ambient + len(block)
-        self.degree = None
 
     def _sample_once(self, ctx, rng):
         p = ctx.p
@@ -542,26 +521,13 @@ class JoinLinear(VarietySpec):
         for row in pf.frame:
             mrow = linalg.mat_vec(self.block, row, p)
             rows.append([a * x % p for x in row] + [b * x % p for x in mrow])
-        frame = _frame_from_rows(rows, self.dim + 1, p)
-        return PointFrame(p, point, frame)
+        return _framed(self, point, rows, p)
 
     def chart(self, ctx):
         cmap, kind = self.child.chart(ctx)
         if kind != "affine":
             raise NotParametric("ruled join over a scaled chart is not supported")
-        nv = cmap.nvars + 2
-        av, bv = cmap.nvars, cmap.nvars + 1
-        base = [c.shift_vars(0, nv) for c in cmap.coords]
-        a = MPoly.variable(nv, av)
-        b = MPoly.variable(nv, bv)
-        coords = [a * c for c in base]
-        for row in self.block:
-            acc = MPoly.zero(nv)
-            for coef, c in zip(row, base):
-                if coef:
-                    acc = acc + c * coef
-            coords.append(b * acc)
-        return PolyMap(nv, coords), "scaled"
+        return _join_map(cmap, cmap.compose_linear(self.block)), "scaled"
 
     def to_obj(self):
         return {"op": "join_linear", "block": [list(r) for r in self.block],
@@ -661,6 +627,18 @@ def random_cone_section(child: VarietySpec, degree: int, rng: random.Random) -> 
     return ConeSection(child, random_poly(child.ambient + 2, degree, rng))
 
 
+def _join_map(base: PolyMap, fiber: PolyMap) -> PolyMap:
+    """The cone chart (t, a, b) -> a*base(t) (+) b*fiber(t) of a join.
+
+    `fiber` takes base's parameters first and may add more; a and b come last.
+    """
+    nv = fiber.nvars + 2
+    a = MPoly.variable(nv, nv - 2)
+    b = MPoly.variable(nv, nv - 1)
+    return PolyMap(nv, [a * c.shift_vars(0, nv) for c in base.coords]
+                   + [b * c.shift_vars(0, nv) for c in fiber.coords])
+
+
 def ruled_join(map1: PolyMap, map2: PolyMap, degree: int | None = None) -> Parametric:
     """Join of corresponding points of two images sharing parameters.
 
@@ -669,17 +647,11 @@ def ruled_join(map1: PolyMap, map2: PolyMap, degree: int | None = None) -> Param
     """
     if map1.nvars != map2.nvars:
         raise ValueError("maps must share parameters")
-    nv = map1.nvars + 2
-    av, bv = map1.nvars, map1.nvars + 1
-    a = MPoly.variable(nv, av)
-    b = MPoly.variable(nv, bv)
-    coords = [a * c.shift_vars(0, nv) for c in map1.coords]
-    coords += [b * c.shift_vars(0, nv) for c in map2.coords]
     ctor = {"op": "ruled_join",
             "nvars": map1.nvars,
             "map1": [poly_str(c, "t") for c in map1.coords],
             "map2": [poly_str(c, "t") for c in map2.coords]}
-    return Parametric(PolyMap(nv, coords), scaled=True, degree=degree, ctor=ctor)
+    return Parametric(_join_map(map1, map2), scaled=True, degree=degree, ctor=ctor)
 
 
 def fibered_join(base: PolyMap, fiber: PolyMap) -> Parametric:
@@ -691,17 +663,11 @@ def fibered_join(base: PolyMap, fiber: PolyMap) -> Parametric:
     """
     if fiber.nvars < base.nvars:
         raise ValueError("fiber must extend the base parameters")
-    nv = fiber.nvars + 2
-    av, bv = fiber.nvars, fiber.nvars + 1
-    a = MPoly.variable(nv, av)
-    b = MPoly.variable(nv, bv)
-    coords = [a * c.shift_vars(0, nv) for c in base.coords]
-    coords += [b * c.shift_vars(0, nv) for c in fiber.coords]
     ctor = {"op": "fibered_join",
             "base_vars": base.nvars,
             "base": [poly_str(c, "t") for c in base.coords],
             "fiber": [poly_str(c, "t") for c in fiber.coords]}
-    return Parametric(PolyMap(nv, coords), scaled=True, ctor=ctor)
+    return Parametric(_join_map(base, fiber), scaled=True, ctor=ctor)
 
 
 def join_linear(child: VarietySpec, block: list[list[int]]) -> JoinLinear:
@@ -760,7 +726,7 @@ def _integer_chart(child: VarietySpec) -> PolyMap:
     """The child's chart over the integers (a projection's holds residues mod p)."""
     if _holds_projection(child):
         raise NotParametric("the chart of a projection depends on the prime")
-    return child.chart(PrimeContext(p=(1 << 61) - 1, seed="probe"))[0]
+    return child.chart(PrimeContext(p=(1 << 61) - 1))[0]
 
 
 def center_in_span(child: VarietySpec, s: int, rng: random.Random) -> list[list[int]]:
@@ -823,53 +789,64 @@ class SpecParseError(ValueError):
     pass
 
 
+def _json_int(value: object, optional: bool = False) -> int | None:
+    """`value` if it is a JSON integer, not a bool (or None, if optional); else ValueError."""
+    if type(value) is not int and not (optional and value is None):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def spec_from_obj(obj: dict) -> VarietySpec:
     if not isinstance(obj, dict) or "op" not in obj:
         raise SpecParseError("spec node must be an object with an 'op' field")
     op = obj["op"]
     try:
         if op == "parametric":
-            nv = int(obj["nvars"])
+            nv = _json_int(obj["nvars"])
             coords = [parse_poly(s, nv) for s in obj["coords"]]
-            return Parametric(PolyMap(nv, coords), scaled=bool(obj.get("scaled", False)),
-                              degree=obj.get("degree"))
+            scaled = obj.get("scaled", False)
+            if type(scaled) is not bool:
+                raise ValueError(f"'scaled' must be true or false, got {scaled!r}")
+            return Parametric(PolyMap(nv, coords), scaled=scaled,
+                              degree=_json_int(obj.get("degree"), optional=True))
         if op == "scroll":
-            return scroll([int(a) for a in obj["degrees"]])
+            return scroll([_json_int(a) for a in obj["degrees"]])
         if op == "veronese":
-            return Veronese(spec_from_obj(obj["child"]), int(obj["d"]))
+            return Veronese(spec_from_obj(obj["child"]), _json_int(obj["d"]))
         if op == "segre":
             return SegrePair(spec_from_obj(obj["left"]), spec_from_obj(obj["right"]))
         if op == "cone":
-            return ConeOver(spec_from_obj(obj["child"]), int(obj["vertex_dim"]))
+            return ConeOver(spec_from_obj(obj["child"]), _json_int(obj["vertex_dim"]))
         if op == "project":
             child = spec_from_obj(obj["child"])
-            proj = ProjectFrom(child, [[int(x) for x in row] for row in obj["center"]],
-                               dim=obj.get("dim"), degree=obj.get("degree"))
+            proj = ProjectFrom(child, [[_json_int(x) for x in row] for row in obj["center"]],
+                               dim=_json_int(obj.get("dim"), optional=True),
+                               degree=_json_int(obj.get("degree"), optional=True))
             # Rows dependent over Q stay dependent modulo every prime.
             if linalg.rank(proj.center, (1 << 61) - 1) != len(proj.center):
                 raise ValueError("center rows are linearly dependent")
             return proj
         if op == "hypersurface":
-            m = int(obj["m"])
+            m = _json_int(obj["m"])
             return Hypersurface(m, parse_poly(obj["equation"], m + 1))
         if op == "on_quadric":
             return on_quadric(parse_poly(obj["equation"], 6))
         if op == "restricted":
-            nv = int(obj["nvars"])
+            nv = _json_int(obj["nvars"])
             chart = PolyMap(nv, [parse_poly(s, nv) for s in obj["chart"]])
             eq = parse_poly(obj["equation"], len(chart.coords))
-            return RestrictedChart(chart, eq, solve_var=int(obj.get("solve_var", 0)))
+            return RestrictedChart(chart, eq, solve_var=_json_int(obj.get("solve_var", 0)))
         if op == "cone_section":
             child = spec_from_obj(obj["child"])
             eq = parse_poly(obj["equation"], child.ambient + 2)
             return ConeSection(child, eq)
         if op == "ruled_join":
-            nv = int(obj["nvars"])
+            nv = _json_int(obj["nvars"])
             m1 = PolyMap(nv, [parse_poly(s, nv) for s in obj["map1"]])
             m2 = PolyMap(nv, [parse_poly(s, nv) for s in obj["map2"]])
             return ruled_join(m1, m2)
         if op == "fibered_join":
-            bvars = int(obj["base_vars"])
+            bvars = _json_int(obj["base_vars"])
             base_coords = [parse_poly(s, bvars) for s in obj["base"]]
             fsrc = obj["fiber"]
             # Fiber variable count: parse against the widest index used.
@@ -879,15 +856,13 @@ def spec_from_obj(obj: dict) -> VarietySpec:
             return fibered_join(PolyMap(bvars, base_coords), PolyMap(fvars, fiber_coords))
         if op == "join_linear":
             child = spec_from_obj(obj["child"])
-            return JoinLinear(child, [[int(x) for x in row] for row in obj["block"]])
+            return JoinLinear(child, [[_json_int(x) for x in row] for row in obj["block"]])
     except (KeyError, ValueError, TypeError) as exc:
         raise SpecParseError(f"bad {op!r} node: {exc}") from exc
     raise SpecParseError(f"unknown op {op!r}")
 
 
 def _max_var_index(poly_strs: list[str]) -> int:
-    import re
-
     best = 0
     for s in poly_strs:
         for m in re.finditer(r"[xt](\d+)", s):

@@ -85,6 +85,29 @@ class TestAnalyze:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
 
+    CUBIC = '{"op":"scroll","degrees":[3]}'
+
+    # A float, bool or string where an integer belongs, a string for
+    # `scaled`, or a block row narrower than the child: int(), bool() or
+    # zip would quietly read each one as a different spec.
+    @pytest.mark.parametrize("spec", [
+        '{"op":"hypersurface","m":3.9,"equation":"x0*x1 - x2*x3"}',
+        '{"op":"cone","vertex_dim":0.5,"child":%s}' % CUBIC,
+        '{"op":"veronese","d":true,"child":%s}' % CUBIC,
+        '{"op":"project","center":[[1.7,0,0,1]],"child":%s}' % CUBIC,
+        '{"op":"parametric","nvars":1,"coords":["1","t0","t0^2"],"scaled":"false"}',
+        '{"op":"project","dim":"1","center":[[1,0,0,1]],"child":%s}' % CUBIC,
+        '{"op":"project","dim":1.0,"center":[[1,0,0,1]],"child":%s}' % CUBIC,
+        '{"op":"join_linear","block":[[1,2,3],[5]],"child":{"op":"scroll","degrees":[2]}}',
+    ], ids=["m-float", "vertex_dim-float", "d-bool", "center-float", "scaled-string",
+            "dim-string", "dim-float", "block-short-row"])
+    def test_mistyped_fields_are_parse_errors(self, spec, tmp_path, capsys):
+        path = tmp_path / "mistyped.variety.json"
+        path.write_text(spec)
+        assert run(["analyze", str(path), "--k", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_usage_errors_exit_1(self, capsys):
         # A malformed option is a parse error (1), not sampler exhaustion (2).
         for args in (["analyze", str(SPECS / "twisted-cubic.variety.json"), "--k", "foo"],

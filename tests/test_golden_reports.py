@@ -33,6 +33,12 @@ COMMANDS = {
     # a developable surface, F8's is implicit-backed (Indeterminate).
     "analyze-family-11-k2": ["analyze", "tests/specs/family-11-k2.variety.json", "--k", "2"],
     "analyze-family-8-k2": ["analyze", "tests/specs/family-8-k2.variety.json", "--k", "2"],
+    # The join charts: F7 and F10 read the Gauss fiber through
+    # JoinLinear's chart (a developable image, then a non-developable
+    # one); the scroll S(2,3) is a ruled_join spec.
+    "analyze-family-7-k2": ["analyze", "tests/specs/family-7-k2.variety.json", "--k", "2"],
+    "analyze-family-10-k2": ["analyze", "tests/specs/family-10-k2.variety.json", "--k", "2"],
+    "analyze-ruled-join-s23": ["analyze", "tests/specs/ruled-join-s23.variety.json", "--k", "1"],
     # The span folds the chain trials' points first: 5 trials x 2 samples
     # of the Segre P^3 x P^3 in P^15 fall short of 16 and the span draws
     # more; with --k-max 3, 20 points fill it.

@@ -74,7 +74,7 @@ class TestPrimality:
         for seed in range(300):
             a, b = make_contexts(seed, bits=6)
             assert a.p != b.p and 32 <= b.p < 64
-            assert a == random_prime(6, derive_rng(seed, "prime", 0), f"{seed}:prime0")
+            assert a == random_prime(6, derive_rng(seed, "prime", 0))
 
     def test_make_contexts_too_few_primes(self):
         # 5 and 7 are the only 3-bit primes: a third is never drawn.
@@ -83,7 +83,7 @@ class TestPrimality:
 
     def test_context_rejects_composite(self):
         with pytest.raises(ValueError):
-            PrimeContext(p=2**61, seed="bad")
+            PrimeContext(p=2**61)
 
 
 class TestRank:

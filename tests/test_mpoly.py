@@ -175,7 +175,6 @@ class TestComposeLinear:
         drop_last = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
         conic = cubic.compose_linear(drop_last)
         assert conic.coords == [MPoly.constant(nv, 1), t, t * t]
-        assert conic.max_degree() == 2
 
 
 class TestMultiply:

@@ -12,7 +12,7 @@ import pytest
 
 import secantry
 
-from secantry.linalg import RowReducer, derive_rng, rank, row_basis
+from secantry.linalg import PrimeContext, RowReducer, derive_rng, rank, row_basis
 from secantry.mpoly import MPoly, PolyMap, random_poly
 from secantry.variety import (CenterContainsVariety, NotParametric,
                               ProjectFrom, SpecParseError, cone_over,
@@ -292,6 +292,13 @@ class TestProjectFrom:
         bad = ProjectFrom(line, [[1, 0, 0, 1], [0, 1, 1, 0]])
         with pytest.raises(CenterContainsVariety):
             bad.sample(ctxs[0], rng)
+
+    def test_center_dependent_mod_p(self, ctxs):
+        # Independent over Q, but the second row vanishes modulo 101.
+        spec = ProjectFrom(scroll([3]), [[1, 0, 0, 0], [0, 101, 0, 0]])
+        with pytest.raises(ValueError, match="dependent mod p"):
+            spec.kernel_map(PrimeContext(p=101))
+        assert len(spec.kernel_map(ctxs[0])) == spec.ambient + 1 == 2
 
     def test_secant_center_lowers_span(self, ctxs, rng):
         child = veronese(scroll([1, 1, 0]), 2)
