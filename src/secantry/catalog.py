@@ -301,8 +301,7 @@ FAMILY_VARIANTS = {name: f.variants for name, f in FAMILIES.items()}
 NOT_CONSTRUCTIBLE_REASONS = {name: f.note for name, f in FAMILIES.items() if f.make is None}
 
 
-def build_family(family: str, k: int, variant: str | None = None,
-                 rng: random.Random | None = None) -> CatalogEntry:
+def build_family(family: str, k: int, variant: str | None = None) -> CatalogEntry:
     """Build the representative spec and expected table for (family, k, variant).
 
     Raises NotConstructible for F3/F6/F9 and for k outside the family's
@@ -319,9 +318,7 @@ def build_family(family: str, k: int, variant: str | None = None,
     variant = variant or fam.variants[0]
     if variant not in fam.variants + fam.optional:
         raise ValueError(f"unknown variant {variant!r} for {family}")
-    if rng is None:
-        rng = derive_rng(0, "catalog", family, k, variant)
-    spec, expected, k_eval = fam.make(k, variant, rng)
+    spec, expected, k_eval = fam.make(k, variant, derive_rng(0, "catalog", family, k, variant))
     return CatalogEntry(family=family, k=k, variant=variant, spec=spec,
                         expected=expected, k_eval=k_eval, note=fam.note)
 
@@ -355,8 +352,7 @@ def verify_family(entry: CatalogEntry, ctxs, rng: random.Random,
                         passed=not mism, mismatches=mism)
 
 
-def verify_all(k_range, ctxs, rng: random.Random | None = None,
-               trials: int = DEFAULT_TRIALS, seed: int = 0):
+def verify_all(k_range, ctxs, trials: int = DEFAULT_TRIALS, seed: int = 0):
     """Verify every constructible (family, k, variant); failures are data.
 
     Returns a list mixing VerifyResult and SkippedFamily records (never
@@ -378,7 +374,6 @@ def verify_all(k_range, ctxs, rng: random.Random | None = None,
                 continue
             for variant in fam.variants:
                 entry = build_family(family, k, variant)
-                run_rng = rng if rng is not None else derive_rng(
-                    seed, "verify", family, k, variant)
-                out.append(verify_family(entry, ctxs, run_rng, trials))
+                rng = derive_rng(seed, "verify", family, k, variant)
+                out.append(verify_family(entry, ctxs, rng, trials))
     return out

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import catalog as cat
@@ -23,18 +22,6 @@ from .linalg import derive_rng, make_contexts
 from .mpoly import PolyParseError
 from .variety import (SampleExhausted, SpecParseError, VarietySpec,
                       loads_spec, spec_hash)
-
-
-@dataclass
-class RunConfig:
-    seed: int = 0
-    trials: int = terracini.DEFAULT_TRIALS
-    fmt: str = "json"
-    out: str | None = None
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("--trials must be >= 1")
 
 
 def _write_report(text: str, out: str | None) -> None:
@@ -65,10 +52,10 @@ def _markdown_report(rep: dict) -> str:
     return "\n".join(lines)
 
 
-def _measure(spec: VarietySpec, k: int, k_max: int, cfg: RunConfig) -> dict:
-    ctxs = make_contexts(cfg.seed)
-    rng = derive_rng(cfg.seed, "analysis")
-    scan = terracini.min_defective_scan(spec, k_max, ctxs, rng, cfg.trials)
+def _measure(spec: VarietySpec, k: int, k_max: int, seed: int, trials: int) -> dict:
+    ctxs = make_contexts(seed)
+    rng = derive_rng(seed, "analysis")
+    scan = terracini.min_defective_scan(spec, k_max, ctxs, rng, trials)
     top = scan.reports[k]
     if k >= 1 and top.chain[k - 1] < top.r:
         tan = terracini.tangential_projection(spec, k, ctxs, rng)
@@ -80,9 +67,9 @@ def _measure(spec: VarietySpec, k: int, k_max: int, cfg: RunConfig) -> dict:
         n_k = m_k = None
     return {
         "spec_hash": spec_hash(spec),
-        "seed": cfg.seed,
+        "seed": seed,
         "primes": [c.p for c in ctxs],
-        "trials": cfg.trials,
+        "trials": trials,
         "ambient_r": top.r,
         "dim_n": spec.dim,
         "chain": scan.reports[k_max].chain,
@@ -98,7 +85,7 @@ def _measure(spec: VarietySpec, k: int, k_max: int, cfg: RunConfig) -> dict:
     }
 
 
-def cmd_analyze(args, cfg: RunConfig) -> int:
+def cmd_analyze(args) -> int:
     try:
         spec = loads_spec(Path(args.specfile).read_text(encoding="utf-8"))
     except (OSError, SpecParseError, PolyParseError, ValueError) as exc:
@@ -112,13 +99,13 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
     if k < 0 or k_max < 1:
         print("error: --k must be >= 0 and --k-max (default: --k) >= 1", file=sys.stderr)
         return 1
-    rep = _measure(spec, k, k_max, cfg)
-    text = _json_text(rep) if cfg.fmt == "json" else _markdown_report(rep)
-    _write_report(text, cfg.out)
+    rep = _measure(spec, k, k_max, args.seed, args.trials)
+    text = _json_text(rep) if args.format == "json" else _markdown_report(rep)
+    _write_report(text, args.out)
     return 0
 
 
-def _entry_report(res: cat.VerifyResult, cfg: RunConfig) -> dict:
+def _entry_report(res: cat.VerifyResult, seed: int) -> dict:
     entry = res.entry
     k = entry.k_eval
     top = res.scan.reports[k]
@@ -127,7 +114,7 @@ def _entry_report(res: cat.VerifyResult, cfg: RunConfig) -> dict:
         "k": entry.k,
         "variant": entry.variant,
         "spec_hash": spec_hash(entry.spec),
-        "seed": cfg.seed,
+        "seed": seed,
         "primes": top.primes,
         "trials": top.trials,
         "ambient_r": top.r,
@@ -142,15 +129,15 @@ def _entry_report(res: cat.VerifyResult, cfg: RunConfig) -> dict:
     }
 
 
-def cmd_catalog(args, cfg: RunConfig) -> int:
+def cmd_catalog(args) -> int:
     if args.catalog_cmd == "list":
         rows = [{"family": family, "constructible_k": list(fam.domain),
                  "variants": list(fam.variants), "constructible": fam.make is not None,
                  "note": fam.note} for family, fam in cat.FAMILIES.items()]
-        _write_report(_json_text(rows), cfg.out)
+        _write_report(_json_text(rows), args.out)
         return 0
 
-    ctxs = make_contexts(cfg.seed)
+    ctxs = make_contexts(args.seed)
     if args.catalog_cmd == "verify":
         try:
             entry = cat.build_family(args.family, args.k, args.variant)
@@ -160,11 +147,11 @@ def cmd_catalog(args, cfg: RunConfig) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        res = cat.verify_family(entry, ctxs, derive_rng(cfg.seed, "verify", args.family,
-                                                        args.k, entry.variant), cfg.trials)
-        rep = _entry_report(res, cfg)
-        text = _json_text(rep) if cfg.fmt == "json" else _markdown_report(rep)
-        _write_report(text, cfg.out)
+        res = cat.verify_family(entry, ctxs, derive_rng(args.seed, "verify", args.family,
+                                                        args.k, entry.variant), args.trials)
+        rep = _entry_report(res, args.seed)
+        text = _json_text(rep) if args.format == "json" else _markdown_report(rep)
+        _write_report(text, args.out)
         print(f"{entry.family} k={entry.k} variant={entry.variant}: "
               + ("pass" if res.passed else f"FAIL {res.mismatches}"))
         return 0 if res.passed else 3
@@ -174,7 +161,7 @@ def cmd_catalog(args, cfg: RunConfig) -> int:
     if not 1 <= lo <= hi <= cat.K_CAP:
         print(f"error: --k-range must lie within 1..{cat.K_CAP}", file=sys.stderr)
         return 1
-    results = cat.verify_all(range(lo, hi + 1), ctxs, trials=cfg.trials, seed=cfg.seed)
+    results = cat.verify_all(range(lo, hi + 1), ctxs, trials=args.trials, seed=args.seed)
     reports = []
     all_ok = True
     for res in results:
@@ -183,12 +170,12 @@ def cmd_catalog(args, cfg: RunConfig) -> int:
                             "reason": res.reason})
             print(f"{res.family} k={res.k}: skipped ({res.reason})")
             continue
-        rep = _entry_report(res, cfg)
+        rep = _entry_report(res, args.seed)
         reports.append(rep)
         status = "pass" if res.passed else f"FAIL {res.mismatches}"
         print(f"{res.entry.family} k={res.entry.k} variant={res.entry.variant}: {status}")
         all_ok = all_ok and res.passed
-    _write_report(_json_text(reports), cfg.out)
+    _write_report(_json_text(reports), args.out)
     return 0 if all_ok else 3
 
 
@@ -256,13 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = RunConfig(seed=args.seed, trials=args.trials, fmt=args.format, out=args.out)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.trials < 1:
+        print("error: --trials must be >= 1", file=sys.stderr)
         return 1
     try:
-        return args.func(args, cfg)
+        return args.func(args)
     except SampleExhausted as exc:
         # Raised before a command writes anything.
         print(f"error: sampling failed: {exc}", file=sys.stderr)

@@ -223,4 +223,4 @@ def mat_vec(mat: list[list[int]], vec: list[int], p: int) -> list[int]:
 
 def apply_map(rows: list[list[int]], kmap: list[list[int]], p: int) -> list[list[int]]:
     """Apply the linear map with matrix `kmap` (rows = output coords) to each row."""
-    return [[sum(a * b for a, b in zip(krow, row)) % p for krow in kmap] for row in rows]
+    return [mat_vec(kmap, row, p) for row in rows]

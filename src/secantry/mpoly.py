@@ -121,17 +121,7 @@ class MPoly:
         return MPoly(self.nvars, terms)
 
     def eval(self, point: list[int], p: int) -> int:
-        if len(point) != self.nvars:
-            raise ValueError("point length must equal nvars")
-        pt = [v % p for v in point]
-        acc = 0
-        for e, c in self.terms.items():
-            t = c % p
-            for v, k in zip(pt, e):
-                if k:
-                    t = t * pow(v, k, p) % p
-            acc += t
-        return acc % p
+        return self.grad_eval(point, p)[0]
 
     def grad_eval(self, point: list[int], p: int) -> tuple[int, list[int]]:
         """Value and full gradient at `point`, in one pass over the terms.
@@ -211,17 +201,13 @@ class PolyMap:
         self.nvars = nvars
         self.coords = list(coords)
 
-    def eval(self, point: list[int], p: int) -> list[int]:
-        return [c.eval(point, p) for c in self.coords]
+    def partial_rows(self, point: list[int], p: int) -> tuple[list[int], list[list[int]]]:
+        """The map's values at `point` and its rows d/dt_j there.
 
-    def partial_rows(self, point: list[int], p: int) -> list[list[int]]:
-        """Rows d/dt_j of the map at `point` (one gradient pass per coordinate)."""
-        rows = [[0] * len(self.coords) for _ in range(self.nvars)]
-        for ci, c in enumerate(self.coords):
-            _, grad = c.grad_eval(point, p)
-            for j in range(self.nvars):
-                rows[j][ci] = grad[j]
-        return rows
+        Both come from one `grad_eval` pass per coordinate.
+        """
+        values, grads = zip(*(c.grad_eval(point, p) for c in self.coords))
+        return list(values), [list(row) for row in zip(*grads)]
 
     def pull_back(self, g: MPoly) -> MPoly:
         """The composite g o self: g's variables replaced by these coordinates."""
@@ -309,14 +295,17 @@ class PolyParseError(ValueError):
     pass
 
 
-def parse_poly(text: str, nvars: int, names: tuple[str, ...] = ("x", "t")) -> MPoly:
+_VAR_NAMES = ("x", "t")
+
+
+def parse_poly(text: str, nvars: int) -> MPoly:
     """Parse an integer-coefficient polynomial in variables like x0..x<n-1>.
 
     Supports + - * ^ (or **), parentheses and implicit exponents; both `x`
     and `t` prefixes are accepted so map coordinates and ambient equations
     share one grammar.
     """
-    tokens = _tokenize(text, names)
+    tokens = _tokenize(text)
     pos = [0]
 
     def peek() -> str | None:
@@ -377,7 +366,7 @@ def parse_poly(text: str, nvars: int, names: tuple[str, ...] = ("x", "t")) -> MP
         take()
         if tok.isdigit():
             return MPoly.constant(nvars, int(tok))
-        for name in names:
+        for name in _VAR_NAMES:
             if tok.startswith(name) and tok[len(name):].isdigit():
                 idx = int(tok[len(name):])
                 if idx >= nvars:
@@ -391,7 +380,7 @@ def parse_poly(text: str, nvars: int, names: tuple[str, ...] = ("x", "t")) -> MP
     return result
 
 
-def _tokenize(text: str, names: tuple[str, ...]) -> list[str]:
+def _tokenize(text: str) -> list[str]:
     tokens = []
     i = 0
     text = text.replace("**", "^")
@@ -408,8 +397,8 @@ def _tokenize(text: str, names: tuple[str, ...]) -> list[str]:
                 j += 1
             tokens.append(text[i:j])
             i = j
-        elif any(text.startswith(name, i) for name in names):
-            name = next(n for n in names if text.startswith(n, i))
+        elif any(text.startswith(name, i) for name in _VAR_NAMES):
+            name = next(n for n in _VAR_NAMES if text.startswith(n, i))
             j = i + len(name)
             while j < len(text) and text[j].isdigit():
                 j += 1

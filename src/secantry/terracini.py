@@ -232,8 +232,8 @@ def _gauss_fiber_once(spec: VarietySpec, cmap, first, ctx: PrimeContext,
     ncoords = len(cmap.coords)
     for _ in range(linalg.SAMPLE_RETRIES):
         t = [rng.randrange(p) for _ in range(c)]
-        d1 = cmap.partial_rows(t, p)
-        tangent = linalg.fold([cmap.eval(t, p)] + d1, p)
+        value, d1 = cmap.partial_rows(t, p)
+        tangent = linalg.fold([value] + d1, p)
         if tangent.rank != n + 1:
             continue
         # Row i=0 is the chart value, rows i>=1 are first partials; their

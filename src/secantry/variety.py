@@ -154,11 +154,10 @@ class Parametric(VarietySpec):
     def _sample_once(self, ctx, rng):
         p = ctx.p
         t = [rng.randrange(p) for _ in range(self.map.nvars)]
-        point = self.map.eval(t, p)
+        point, partials = self.map.partial_rows(t, p)
         if not any(point):
             raise _Resample("zero_point")
-        rows = [point] + self.map.partial_rows(t, p)
-        return _framed(self, point, rows, p)
+        return _framed(self, point, [point] + partials, p)
 
     def chart(self, ctx):
         return self.map, ("scaled" if self.scaled else "affine")
@@ -321,6 +320,8 @@ class ProjectFrom(VarietySpec):
             raise ValueError("center width must be child ambient + 1")
         if len(center) > child.ambient:
             raise ValueError("center cannot fill the ambient space")
+        if dim is not None and dim > child.dim:
+            raise ValueError("a projection cannot raise the dimension")
         self.child = child
         self.center = [list(r) for r in center]
         self.dim = child.dim if dim is None else dim
@@ -431,15 +432,14 @@ class RestrictedChart(VarietySpec):
         p = ctx.p
         t = _pick_root(self.pullback, [rng.randrange(p) for _ in range(self.chart_map.nvars)],
                        self.solve_var, p, rng)
-        point = self.chart_map.eval(t, p)
+        point, partials = self.chart_map.partial_rows(t, p)
         if not any(point):
             raise _Resample("zero_point")
         # Tangent directions in parameter space: the kernel of d(g o chart).
         _, w = self.pullback.grad_eval(t, p)
         if not any(w):
             raise _Resample("singular_point")
-        rows = [point] + _section(self.chart_map.partial_rows(t, p), w, p)
-        return _framed(self, point, rows, p)
+        return _framed(self, point, [point] + _section(partials, w, p), p)
 
     def to_obj(self):
         if self._ctor is not None:
@@ -639,7 +639,7 @@ def _join_map(base: PolyMap, fiber: PolyMap) -> PolyMap:
                    + [b * c.shift_vars(0, nv) for c in fiber.coords])
 
 
-def ruled_join(map1: PolyMap, map2: PolyMap, degree: int | None = None) -> Parametric:
+def ruled_join(map1: PolyMap, map2: PolyMap) -> Parametric:
     """Join of corresponding points of two images sharing parameters.
 
     Affine-cone chart (a, b, t) -> a*map1(t) (+) b*map2(t) in complementary
@@ -651,7 +651,7 @@ def ruled_join(map1: PolyMap, map2: PolyMap, degree: int | None = None) -> Param
             "nvars": map1.nvars,
             "map1": [poly_str(c, "t") for c in map1.coords],
             "map2": [poly_str(c, "t") for c in map2.coords]}
-    return Parametric(_join_map(map1, map2), scaled=True, degree=degree, ctor=ctor)
+    return Parametric(_join_map(map1, map2), scaled=True, ctor=ctor)
 
 
 def fibered_join(base: PolyMap, fiber: PolyMap) -> Parametric:
@@ -766,17 +766,14 @@ def random_center(ambient: int, s: int, rng: random.Random) -> list[list[int]]:
 
 
 def span_dim(spec: VarietySpec, ctx: PrimeContext, rng: random.Random,
-             samples: int | None = None, points: Sequence[list[int]] = ()) -> int:
+             points: Sequence[list[int]] = ()) -> int:
     """h_X(1): the number of independent coordinates on X, i.e. dim<X> + 1.
 
     Reads the given `points` of X first, then fresh samples, until the rank
-    is full or `samples` (at least ambient+2) points were read in all, so a
-    rank deficit reflects the variety, not undersampling.
+    is full or ambient+2 points were read in all, so a rank deficit reflects
+    the variety, not undersampling.
     """
-    n = samples if samples is not None else spec.ambient + 2
-    if n < spec.ambient + 2:
-        raise ValueError("need at least ambient+2 samples")
-    fresh = (spec.sample(ctx, rng).point for _ in range(n - len(points)))
+    fresh = (spec.sample(ctx, rng).point for _ in range(spec.ambient + 2 - len(points)))
     return linalg.fold(itertools.chain(points, fresh), ctx.p, spec.ambient + 1).rank
 
 
@@ -789,10 +786,14 @@ class SpecParseError(ValueError):
     pass
 
 
-def _json_int(value: object, optional: bool = False) -> int | None:
-    """`value` if it is a JSON integer, not a bool (or None, if optional); else ValueError."""
-    if type(value) is not int and not (optional and value is None):
+def _json_int(value: object, low: int | None = None, optional: bool = False) -> int | None:
+    """`value` if it is a JSON integer (not a bool) >= `low`, or None if optional; else ValueError."""
+    if optional and value is None:
+        return None
+    if type(value) is not int:
         raise ValueError(f"expected an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"expected an integer >= {low}, got {value}")
     return value
 
 
@@ -802,15 +803,15 @@ def spec_from_obj(obj: dict) -> VarietySpec:
     op = obj["op"]
     try:
         if op == "parametric":
-            nv = _json_int(obj["nvars"])
+            nv = _json_int(obj["nvars"], 0)
             coords = [parse_poly(s, nv) for s in obj["coords"]]
             scaled = obj.get("scaled", False)
             if type(scaled) is not bool:
                 raise ValueError(f"'scaled' must be true or false, got {scaled!r}")
             return Parametric(PolyMap(nv, coords), scaled=scaled,
-                              degree=_json_int(obj.get("degree"), optional=True))
+                              degree=_json_int(obj.get("degree"), 1, optional=True))
         if op == "scroll":
-            return scroll([_json_int(a) for a in obj["degrees"]])
+            return scroll([_json_int(a, 0) for a in obj["degrees"]])
         if op == "veronese":
             return Veronese(spec_from_obj(obj["child"]), _json_int(obj["d"]))
         if op == "segre":
@@ -820,19 +821,19 @@ def spec_from_obj(obj: dict) -> VarietySpec:
         if op == "project":
             child = spec_from_obj(obj["child"])
             proj = ProjectFrom(child, [[_json_int(x) for x in row] for row in obj["center"]],
-                               dim=_json_int(obj.get("dim"), optional=True),
-                               degree=_json_int(obj.get("degree"), optional=True))
+                               dim=_json_int(obj.get("dim"), 0, optional=True),
+                               degree=_json_int(obj.get("degree"), 1, optional=True))
             # Rows dependent over Q stay dependent modulo every prime.
             if linalg.rank(proj.center, (1 << 61) - 1) != len(proj.center):
                 raise ValueError("center rows are linearly dependent")
             return proj
         if op == "hypersurface":
-            m = _json_int(obj["m"])
+            m = _json_int(obj["m"], 1)
             return Hypersurface(m, parse_poly(obj["equation"], m + 1))
         if op == "on_quadric":
             return on_quadric(parse_poly(obj["equation"], 6))
         if op == "restricted":
-            nv = _json_int(obj["nvars"])
+            nv = _json_int(obj["nvars"], 0)
             chart = PolyMap(nv, [parse_poly(s, nv) for s in obj["chart"]])
             eq = parse_poly(obj["equation"], len(chart.coords))
             return RestrictedChart(chart, eq, solve_var=_json_int(obj.get("solve_var", 0)))
@@ -841,12 +842,12 @@ def spec_from_obj(obj: dict) -> VarietySpec:
             eq = parse_poly(obj["equation"], child.ambient + 2)
             return ConeSection(child, eq)
         if op == "ruled_join":
-            nv = _json_int(obj["nvars"])
+            nv = _json_int(obj["nvars"], 0)
             m1 = PolyMap(nv, [parse_poly(s, nv) for s in obj["map1"]])
             m2 = PolyMap(nv, [parse_poly(s, nv) for s in obj["map2"]])
             return ruled_join(m1, m2)
         if op == "fibered_join":
-            bvars = _json_int(obj["base_vars"])
+            bvars = _json_int(obj["base_vars"], 0)
             base_coords = [parse_poly(s, bvars) for s in obj["base"]]
             fsrc = obj["fiber"]
             # Fiber variable count: parse against the widest index used.

@@ -89,7 +89,8 @@ class TestAnalyze:
 
     # A float, bool or string where an integer belongs, a string for
     # `scaled`, or a block row narrower than the child: int(), bool() or
-    # zip would quietly read each one as a different spec.
+    # zip would quietly read each one as a different spec.  An integer out
+    # of its range would fail only at sampling, or be kept as given.
     @pytest.mark.parametrize("spec", [
         '{"op":"hypersurface","m":3.9,"equation":"x0*x1 - x2*x3"}',
         '{"op":"cone","vertex_dim":0.5,"child":%s}' % CUBIC,
@@ -99,8 +100,20 @@ class TestAnalyze:
         '{"op":"project","dim":"1","center":[[1,0,0,1]],"child":%s}' % CUBIC,
         '{"op":"project","dim":1.0,"center":[[1,0,0,1]],"child":%s}' % CUBIC,
         '{"op":"join_linear","block":[[1,2,3],[5]],"child":{"op":"scroll","degrees":[2]}}',
+        '{"op":"project","dim":2,"center":[[1,0,0,1]],"child":%s}' % CUBIC,
+        '{"op":"project","dim":-1,"center":[[1,0,0,1]],"child":%s}' % CUBIC,
+        '{"op":"scroll","degrees":[-1,3]}',
+        '{"op":"hypersurface","m":0,"equation":"x0"}',
+        '{"op":"hypersurface","m":-1,"equation":"1"}',
+        '{"op":"parametric","nvars":1,"coords":["1","t0","t0^2"],"degree":-5}',
+        '{"op":"project","degree":0,"center":[[1,0,0,1]],"child":%s}' % CUBIC,
+        '{"op":"fibered_join","base_vars":-1,"base":["1"],"fiber":["1","t0"]}',
+        '{"op":"parametric","nvars":-1,"coords":["1","2"]}',
     ], ids=["m-float", "vertex_dim-float", "d-bool", "center-float", "scaled-string",
-            "dim-string", "dim-float", "block-short-row"])
+            "dim-string", "dim-float", "block-short-row", "dim-above-child",
+            "dim-negative", "scroll-degree-negative", "m-zero", "m-negative",
+            "degree-negative", "project-degree-zero", "base_vars-negative",
+            "nvars-negative"])
     def test_mistyped_fields_are_parse_errors(self, spec, tmp_path, capsys):
         path = tmp_path / "mistyped.variety.json"
         path.write_text(spec)

@@ -172,7 +172,7 @@ class TestQuadricChart:
                 t = list(params)
                 t[sv] = x = rng.randrange(p)
                 at_x = sum(c * pow(x, d, p) for d, c in enumerate(f)) % p
-                assert at_x == spec.g.eval(spec.chart_map.eval(t, p), p)
+                assert at_x == spec.g.eval(spec.chart_map.partial_rows(t, p)[0], p)
 
 
 class TestConeSection:
@@ -331,10 +331,6 @@ class TestSpanDim:
         assert spec.ambient == 20
         assert span_dim(spec, ctxs[0], rng) == 18
 
-    def test_needs_enough_samples(self, ctxs, rng):
-        with pytest.raises(ValueError):
-            span_dim(projective_space(2), ctxs[0], rng, samples=2)
-
 
 class TestSerialization:
     def test_round_trip_all_ops(self, ctxs):
@@ -396,5 +392,5 @@ class TestChart:
         assert kind == "affine"
         p = ctxs[0].p
         t = [rng.randrange(p) for _ in range(cmap.nvars)]
-        rows = [cmap.eval(t, p)] + cmap.partial_rows(t, p)
-        assert rank(rows, p) == spec.dim + 1
+        values, partials = cmap.partial_rows(t, p)
+        assert rank([values] + partials, p) == spec.dim + 1
