@@ -19,11 +19,11 @@ from .terracini import (ContactShape, SecantReport, TangentialReport,
                         gauss_fiber_dim, min_defective_scan, secant_dim,
                         tangential_projection)
 from .variety import (CenterContainsVariety, NoRootFound, NotParametric,
-                      PointFrame, SampleExhausted, VarietySpec, cone_over,
-                      cone_section, fibered_join, hypersurface, join_linear,
-                      loads_spec, dumps_spec, on_quadric, parametric,
-                      project_from, projective_space, rational_normal_curve,
-                      ruled_join, scroll, segre_pair, span_dim, spec_hash,
-                      veronese)
+                      PointFrame, SampleExhausted, VarietySpec, center_in_span,
+                      center_on_points, cone_over, cone_section, fibered_join,
+                      hypersurface, join_linear, loads_spec, dumps_spec,
+                      on_quadric, parametric, project_from, projective_space,
+                      random_center, rational_normal_curve, ruled_join, scroll,
+                      segre_pair, span_dim, spec_hash, veronese)
 
 __version__ = "0.1.0"

@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .linalg import derive_rng
-from .mpoly import MPoly, PolyMap, random_poly
+from .mpoly import PolyMap, random_poly
 from .terracini import (DEFAULT_TRIALS, ScanResult, TangentialReport,
                         min_defective_scan, tangential_projection)
-from .variety import (Parametric, VarietySpec, center_on_points,
-                      cone_over, fibered_join, hypersurface, join_linear,
-                      on_quadric, project_from, projective_space,
+from .variety import (Parametric, VarietySpec, center_in_span,
+                      center_on_points, cone_over, fibered_join, hypersurface,
+                      join_linear, on_quadric, project_from, projective_space,
                       random_center, random_cone_section, scroll, segre_pair,
                       veronese)
 
@@ -103,17 +103,8 @@ def _parts(d: int, blocks: int) -> list[int]:
 
 
 def minimal_threefold(d: int) -> Parametric:
-    """A threefold of minimal degree d in P^(d+2) (a 3-block scroll)."""
-    if d < 1:
-        raise ValueError("degree must be >= 1")
+    """A threefold of minimal degree d in P^(d+2) (a 3-block scroll; d >= 1)."""
     return scroll(_parts(d, 3))
-
-
-def minimal_surface(d: int) -> Parametric:
-    """A surface of minimal degree d in P^(d+1) (a 2-block scroll)."""
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    return scroll(_parts(d, 2))
 
 
 def _general_rational_surface(span_dim: int, rng: random.Random) -> Parametric:
@@ -131,16 +122,6 @@ def _general_rational_surface(span_dim: int, rng: random.Random) -> Parametric:
         e += 1
     coords = [random_poly(2, e, rng, homogeneous=False) for _ in range(need)]
     return Parametric(PolyMap(2, coords))
-
-
-def _surface_scroll_map(deg_a: int, deg_b: int) -> PolyMap:
-    """Chart (t, u) -> (t^0..t^a, u t^0..u t^b): a scroll surface map."""
-    coords = []
-    for j in range(deg_a + 1):
-        coords.append(MPoly.monomial(2, (j, 0)))
-    for j in range(deg_b + 1):
-        coords.append(MPoly.monomial(2, (j, 1)))
-    return PolyMap(2, coords)
 
 
 def _defect_one(r: int, n_k: int) -> Expected:
@@ -174,7 +155,7 @@ def _f4(k, variant, rng):
         combo = [rng.randrange(1, 10 ** 6) for _ in range(3)]
         y = project_from(z, [combo + [0] * (z.ambient - 2)], degree=k)
     else:
-        curve = project_from(scroll([k]), ("random", 0), rng=rng, degree=k)
+        curve = project_from(scroll([k]), random_center(k, 0, rng), degree=k)
         y = cone_over(curve, 1)
     return veronese(y, 2), _defect_one(4 * k + 3, 2), k
 
@@ -187,7 +168,7 @@ def _f5(k, variant, rng):
 
 def _f7(k, variant, rng):
     i = 1 if variant == "i1" else 0
-    y2 = veronese(minimal_surface(k), 2)
+    y2 = veronese(scroll(_parts(k, 2)), 2)
     x = join_linear(y2, random_center(y2.ambient, k - i, rng))
     return x, _defect_one(4 * k + 3 - i, 2 - i), k
 
@@ -203,25 +184,24 @@ def _f10(k, variant, rng):
 
 
 def _f11(k, variant, rng):
-    fiber = _surface_scroll_map(k, k - 1)  # spans a 2k-dim block
+    fiber = scroll([k, k - 1]).map  # spans a 2k-dim block
     return fibered_join(scroll([2 * k + 2]).map, fiber), _defect_one(4 * k + 3, 2), k
 
 
 def _f12(k, variant, rng):
-    fiber = _surface_scroll_map(k - 1, k - 1)  # spans a (2k-1)-dim block
+    fiber = scroll([k - 1, k - 1]).map  # spans a (2k-1)-dim block
     if variant == "narrow":
         return fibered_join(scroll([2 * k + 2]).map, fiber), _defect_one(4 * k + 2, 1), k
     return (fibered_join(scroll([2 * k + 3]).map, fiber),
             Expected(4 * k + 3, 4 * k + 1, 2, 1, 4 * k + 3), k)
 
 
-_F13_CENTERS = {"point": ("span", 0), "line": ("span", 1), "line_secant": ("points", 2)}
-
-
 def _f13(k, variant, rng):
     x = veronese(minimal_threefold(k), 2)
-    if variant != "full":
-        x = project_from(x, _F13_CENTERS[variant], rng=rng)
+    if variant == "line_secant":
+        x = project_from(x, center_on_points(x, 2, rng))
+    elif variant != "full":
+        x = project_from(x, center_in_span(x, 0 if variant == "point" else 1, rng))
     # The full 2-uple is also (k+1)-defective: s^(k+1) stops at 4k+4 < r.
     r = {"full": 4 * k + 5, "point": 4 * k + 4}.get(variant, 4 * k + 3)
     return x, Expected(r, 4 * k + 2, 1, 2, min(r, 4 * k + 4)), k

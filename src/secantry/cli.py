@@ -52,6 +52,16 @@ def _markdown_report(rep: dict) -> str:
     return "\n".join(lines)
 
 
+def _report(spec: VarietySpec, scan: terracini.ScanResult, order: int, seed: int,
+            n_k: int | None, m_k: int | None, **extra) -> dict:
+    """The fields every report shares, read at secancy `order`, plus `extra`."""
+    top = scan.reports[order]
+    return {"spec_hash": spec_hash(spec), "seed": seed, "primes": top.primes,
+            "trials": top.trials, "ambient_r": top.r, "dim_n": spec.dim,
+            "chain": scan.reports[-1].chain, "sigma_k": top.sigma_k,
+            "delta_k": top.delta_k, "n_k": n_k, "m_k": m_k, "mismatches": [], **extra}
+
+
 def _measure(spec: VarietySpec, k: int, k_max: int, seed: int, trials: int) -> dict:
     ctxs = make_contexts(seed)
     rng = derive_rng(seed, "analysis")
@@ -65,24 +75,9 @@ def _measure(spec: VarietySpec, k: int, k_max: int, seed: int, trials: int) -> d
         # Tangent spans already fill the ambient space: nothing to project.
         shape = terracini.ContactShape("Indeterminate", 0)
         n_k = m_k = None
-    return {
-        "spec_hash": spec_hash(spec),
-        "seed": seed,
-        "primes": [c.p for c in ctxs],
-        "trials": trials,
-        "ambient_r": top.r,
-        "dim_n": spec.dim,
-        "chain": scan.reports[k_max].chain,
-        "sigma_k": top.sigma_k,
-        "delta_k": top.delta_k,
-        "n_k": n_k,
-        "m_k": m_k,
-        "contact_shape": shape.classification,
-        # The scan already measured the span: h1 = dim<X> + 1.
-        "h1": top.r + 1,
-        "h2": hilbert.hilbert2(spec, ctxs, rng),
-        "mismatches": [],
-    }
+    # The scan already measured the span: h1 = dim<X> + 1.
+    return _report(spec, scan, k, seed, n_k, m_k, contact_shape=shape.classification,
+                   h1=top.r + 1, h2=hilbert.hilbert2(spec, ctxs, rng))
 
 
 def cmd_analyze(args) -> int:
@@ -107,26 +102,10 @@ def cmd_analyze(args) -> int:
 
 def _entry_report(res: cat.VerifyResult, seed: int) -> dict:
     entry = res.entry
-    k = entry.k_eval
-    top = res.scan.reports[k]
-    return {
-        "family": entry.family,
-        "k": entry.k,
-        "variant": entry.variant,
-        "spec_hash": spec_hash(entry.spec),
-        "seed": seed,
-        "primes": top.primes,
-        "trials": top.trials,
-        "ambient_r": top.r,
-        "dim_n": entry.spec.dim,
-        "chain": res.scan.reports[-1].chain,
-        "sigma_k": top.sigma_k,
-        "delta_k": top.delta_k,
-        "n_k": res.tangential.n_k,
-        "m_k": res.tangential.m_k,
-        "pass": res.passed,
-        "mismatches": res.mismatches,
-    }
+    return _report(entry.spec, res.scan, entry.k_eval, seed, res.tangential.n_k,
+                   res.tangential.m_k, family=entry.family, k=entry.k,
+                   variant=entry.variant, mismatches=res.mismatches,
+                   **{"pass": res.passed})  # `pass` is a keyword
 
 
 def cmd_catalog(args) -> int:

@@ -232,8 +232,6 @@ class PolyMap:
             for a, c in zip(row, self.coords):
                 if a:
                     acc = acc + c * a
-            if acc.is_zero():
-                acc = MPoly.zero(self.nvars)
             new.append(acc)
         return PolyMap(self.nvars, new)
 
@@ -305,6 +303,8 @@ def parse_poly(text: str, nvars: int) -> MPoly:
     and `t` prefixes are accepted so map coordinates and ambient equations
     share one grammar.
     """
+    if not isinstance(text, str):
+        raise PolyParseError(f"expected a polynomial string, got {text!r}")
     tokens = _tokenize(text)
     pos = [0]
 
@@ -312,7 +312,9 @@ def parse_poly(text: str, nvars: int) -> MPoly:
         return tokens[pos[0]] if pos[0] < len(tokens) else None
 
     def take() -> str:
-        tok = tokens[pos[0]]
+        tok = peek()
+        if tok is None:
+            raise PolyParseError("unexpected end of input")
         pos[0] += 1
         return tok
 
@@ -351,8 +353,6 @@ def parse_poly(text: str, nvars: int) -> MPoly:
 
     def parse_atom() -> MPoly:
         tok = peek()
-        if tok is None:
-            raise PolyParseError("unexpected end of input")
         if tok == "(":
             take()
             inner = parse_expr()

@@ -5,12 +5,23 @@ of the variety and a frame: a basis of exactly n+1 rows spanning the
 affine tangent space of the cone there (n = projective dimension), so
 every dimension question downstream becomes a matrix rank minus one.  A
 node's `_sample_once` raises `_Resample(cause)` on a degenerate draw.
-`_framed` checks every frame's size (`frame_rank`) but Hypersurface's, the
-kernel of one nonzero gradient row.  The leaves (Parametric, Hypersurface,
-RestrictedChart) reject a zero point (`zero_point`), as do ProjectFrom and
-JoinLinear, whose linear maps can zero one (`center`).  No other node can:
-Veronese's point holds q_i^d != 0 for a nonzero child coordinate q_i,
-SegrePair's is a tensor of two nonzero vectors, and cones extend theirs.
+
+Frames are eliminated once: `_framed` takes a row basis and checks its
+size (`frame_rank`) where rows can be dependent (Parametric, SegrePair,
+ProjectFrom, RestrictedChart, ConeSection).  The others build a basis.
+Hypersurface: the kernel of one nonzero gradient row.  ConeOver: the
+child's padded frame plus the vertex's unit rows (block-triangular).
+JoinLinear: 0 (+) M.q and a*f (+) b*M.f per child frame row f, which span
+the point and are independent as a != 0 and M.q != 0.  Veronese: the
+child's frame pushed by the d-uple map's differential, injective at q != 0
+when p does not divide d, where it sends q to d*point; when p divides d
+the pushes lose rank, so the point row is framed with them.
+
+The leaves (Parametric, Hypersurface, RestrictedChart) reject a zero
+point (`zero_point`), as do ProjectFrom and JoinLinear, whose linear maps
+can zero one (`center`).  No other node can: Veronese's point holds
+q_i^d != 0 for a nonzero child coordinate q_i, SegrePair's is a tensor of
+two nonzero vectors, and cones extend theirs.
 
 Constructor trees hold only *integer* data (polynomial coefficients,
 center matrices), so one tree can be sampled under several primes; the
@@ -215,8 +226,10 @@ class Veronese(VarietySpec):
         p = ctx.p
         pf = self.child.sample(ctx, rng)
         point = self._push_point(pf.point, p)
-        rows = [point] + [self._push_dir(pf.point, v, p) for v in pf.frame]
-        return _framed(self, point, rows, p)
+        pushes = [self._push_dir(pf.point, v, p) for v in pf.frame]
+        if self.d % p:
+            return PointFrame(point, pushes)
+        return _framed(self, point, [point] + pushes, p)
 
     def chart(self, ctx):
         cmap, kind = self.child.chart(ctx)
@@ -289,7 +302,7 @@ class ConeOver(VarietySpec):
             e = [0] * (self.ambient + 1)
             e[self.child.ambient + 1 + i] = 1
             rows.append(e)
-        return _framed(self, point, rows, p)
+        return PointFrame(point, rows)
 
     def chart(self, ctx):
         cmap, kind = self.child.chart(ctx)
@@ -515,13 +528,12 @@ class JoinLinear(VarietySpec):
             raise _Resample("center")
         a = rng.randrange(1, p)
         b = rng.randrange(1, p)
-        w = len(self.block)
         point = [a * x % p for x in pf.point] + [b * x % p for x in mq]
-        rows = [pf.point + [0] * w, [0] * (self.child.ambient + 1) + mq]
+        rows = [[0] * (self.child.ambient + 1) + mq]
         for row in pf.frame:
             mrow = linalg.mat_vec(self.block, row, p)
             rows.append([a * x % p for x in row] + [b * x % p for x in mrow])
-        return _framed(self, point, rows, p)
+        return PointFrame(point, rows)
 
     def chart(self, ctx):
         cmap, kind = self.child.chart(ctx)
@@ -674,31 +686,10 @@ def join_linear(child: VarietySpec, block: list[list[int]]) -> JoinLinear:
     return JoinLinear(child, block)
 
 
-def project_from(child: VarietySpec, center, rng: random.Random | None = None,
+def project_from(child: VarietySpec, center: list[list[int]],
                  degree: int | None = None) -> ProjectFrom:
-    """Project the child from a center given as one of:
-
-    * an explicit integer matrix (rows spanning the center),
-    * ("random", s): a random s-dimensional subspace of the ambient space,
-    * ("span", s): a random s-dimensional subspace of the linear span of
-      the child (needs a parametric child),
-    * ("points", c): the span of c points sampled on the child itself
-      (needs a parametric child; points are chart values at integer
-      parameters so the center is prime-independent).
-    """
-    if isinstance(center, tuple):
-        kind, s = center
-        if rng is None:
-            raise ValueError("random centers need an rng")
-        if kind == "random":
-            center = random_center(child.ambient, s, rng)
-        elif kind == "span":
-            center = center_in_span(child, s, rng)
-        elif kind == "points":
-            center = center_on_points(child, s, rng)
-            degree = None  # center meets the variety; degree metadata no longer valid
-        else:
-            raise ValueError(f"unknown center kind {kind!r}")
+    """Project the child from the span of the integer `center` rows, as built
+    by `random_center`, `center_in_span` or `center_on_points`."""
     return ProjectFrom(child, center, degree=degree)
 
 
@@ -756,6 +747,7 @@ def center_on_points(child: VarietySpec, count: int, rng: random.Random) -> list
 
 
 def random_center(ambient: int, s: int, rng: random.Random) -> list[list[int]]:
+    """An (s+1)-row integer matrix spanning a random s-plane of P^ambient."""
     return [[rng.randrange(1, 1 << 61) for _ in range(ambient + 1)]
             for _ in range(s + 1)]
 
@@ -851,8 +843,7 @@ def spec_from_obj(obj: dict) -> VarietySpec:
             base_coords = [parse_poly(s, bvars) for s in obj["base"]]
             fsrc = obj["fiber"]
             # Fiber variable count: parse against the widest index used.
-            fvars = _max_var_index(fsrc) + 1
-            fvars = max(fvars, bvars)
+            fvars = max(_max_var_index(fsrc) + 1, bvars)
             fiber_coords = [parse_poly(s, fvars) for s in fsrc]
             return fibered_join(PolyMap(bvars, base_coords), PolyMap(fvars, fiber_coords))
         if op == "join_linear":
@@ -864,7 +855,8 @@ def spec_from_obj(obj: dict) -> VarietySpec:
 
 
 def _max_var_index(poly_strs: list[str]) -> int:
-    best = 0
+    """The largest variable index the strings name, or -1 when they name none."""
+    best = -1
     for s in poly_strs:
         for m in re.finditer(r"[xt](\d+)", s):
             best = max(best, int(m.group(1)))
@@ -877,10 +869,11 @@ def dumps_spec(spec: VarietySpec) -> str:
 
 def loads_spec(text: str) -> VarietySpec:
     try:
-        obj = json.loads(text)
+        return spec_from_obj(json.loads(text))
     except json.JSONDecodeError as exc:
         raise SpecParseError(f"invalid JSON: {exc}") from exc
-    return spec_from_obj(obj)
+    except RecursionError:  # from json.loads or a recursive node or polynomial reader
+        raise SpecParseError("spec nested too deeply") from None
 
 
 def spec_hash(spec: VarietySpec) -> str:

@@ -176,8 +176,8 @@ def test_criterion_8_hilbert_bounds(ctxs):
         _, bound = castelnuovo_bound(spec.ambient, spec.dim, spec.degree)
         assert hilbert2(spec, ctxs, rng) == bound
     for r in (6, 7):
-        curve = project_from(scroll([r - 2]), ("random", 0),
-                             rng=derive_rng(SEED, "c8p", r), degree=r - 2)
+        center = random_center(r - 2, 0, derive_rng(SEED, "c8p", r))
+        curve = project_from(scroll([r - 2]), center, degree=r - 2)
         spec = cone_over(curve, 1)
         assert hilbert2(spec, ctxs, rng) == 4 * r - 4
 

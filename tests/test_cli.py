@@ -90,7 +90,10 @@ class TestAnalyze:
     # A float, bool or string where an integer belongs, a string for
     # `scaled`, or a block row narrower than the child: int(), bool() or
     # zip would quietly read each one as a different spec.  An integer out
-    # of its range would fail only at sampling, or be kept as given.
+    # of its range would fail only at sampling, or be kept as given.  A
+    # polynomial that is not a string, ends in a dangling `^`, or nests so
+    # deeply (as may the JSON itself) that a recursive reader overflows must
+    # still end in one `error:` line, not a traceback.
     @pytest.mark.parametrize("spec", [
         '{"op":"hypersurface","m":3.9,"equation":"x0*x1 - x2*x3"}',
         '{"op":"cone","vertex_dim":0.5,"child":%s}' % CUBIC,
@@ -109,17 +112,32 @@ class TestAnalyze:
         '{"op":"project","degree":0,"center":[[1,0,0,1]],"child":%s}' % CUBIC,
         '{"op":"fibered_join","base_vars":-1,"base":["1"],"fiber":["1","t0"]}',
         '{"op":"parametric","nvars":-1,"coords":["1","2"]}',
+        '{"op":"hypersurface","m":2,"equation":5}',
+        '{"op":"parametric","nvars":1,"coords":[1,"t0"]}',
+        '{"op":"hypersurface","m":2,"equation":"x0^"}',
+        '{"op":"hypersurface","m":2,"equation":"%sx0%s"}' % ("(" * 3000, ")" * 3000),
+        "[" * 100000 + "]" * 100000,
     ], ids=["m-float", "vertex_dim-float", "d-bool", "center-float", "scaled-string",
             "dim-string", "dim-float", "block-short-row", "dim-above-child",
             "dim-negative", "scroll-degree-negative", "m-zero", "m-negative",
             "degree-negative", "project-degree-zero", "base_vars-negative",
-            "nvars-negative"])
+            "nvars-negative", "equation-number", "coord-number",
+            "equation-dangling-power", "equation-nested-3000", "json-nested-100000"])
     def test_mistyped_fields_are_parse_errors(self, spec, tmp_path, capsys):
         path = tmp_path / "mistyped.variety.json"
         path.write_text(spec)
         assert run(["analyze", str(path), "--k", "1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_fiber_naming_no_variable_has_no_parameter(self, tmp_path, capsys):
+        # The join of the point (1) with the point (1) is the line P^1; a
+        # phantom fiber parameter would claim a surface that cannot be framed.
+        path = tmp_path / "line.variety.json"
+        path.write_text('{"op":"fibered_join","base_vars":0,"base":["1"],"fiber":["1"]}')
+        assert run(["analyze", str(path), "--k", "1"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert (rep["dim_n"], rep["ambient_r"]) == (1, 1)
 
     def test_usage_errors_exit_1(self, capsys):
         # A malformed option is a parse error (1), not sampler exhaustion (2).

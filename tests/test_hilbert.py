@@ -9,8 +9,8 @@ from secantry.hilbert import (MinimalDegreeViolated, castelnuovo_bound,
 from secantry.linalg import derive_rng
 from secantry.mpoly import random_poly
 from secantry.variety import (cone_over, hypersurface, project_from,
-                              projective_space, rational_normal_curve, scroll,
-                              veronese)
+                              projective_space, random_center,
+                              rational_normal_curve, scroll, veronese)
 
 from conftest import SEED
 
@@ -30,7 +30,7 @@ class TestHilbert2:
         # curve of degree r-2: h2 equals 4r-4 at r = 6 and r = 7.
         for r in (6, 7):
             rng = derive_rng(SEED, "cone-h2", r)
-            curve = project_from(scroll([r - 2]), ("random", 0), rng=rng,
+            curve = project_from(scroll([r - 2]), random_center(r - 2, 0, rng),
                                  degree=r - 2)
             spec = cone_over(curve, 1)
             assert hilbert2(spec, ctxs, rng) == 4 * r - 4

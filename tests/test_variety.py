@@ -15,10 +15,11 @@ import secantry
 from secantry.linalg import PrimeContext, RowReducer, derive_rng, rank, row_basis
 from secantry.mpoly import MPoly, PolyMap, random_poly
 from secantry.variety import (CenterContainsVariety, NotParametric,
-                              ProjectFrom, SpecParseError, cone_over,
-                              dumps_spec, fibered_join, hypersurface,
-                              join_linear, loads_spec, on_quadric,
-                              parametric, project_from, projective_space,
+                              ProjectFrom, SpecParseError, center_in_span,
+                              center_on_points, cone_over, dumps_spec,
+                              fibered_join, hypersurface, join_linear,
+                              loads_spec, on_quadric, parametric, project_from,
+                              projective_space, random_center,
                               random_cone_section, rational_normal_curve,
                               ruled_join, scroll, segre_pair, span_dim,
                               spec_hash, veronese)
@@ -40,7 +41,7 @@ def spec_zoo(rng):
         ("veronese_scroll", veronese(scroll([1, 1]), 2)),
         ("segre", segre_pair(projective_space(1), projective_space(2))),
         ("cone", cone_over(rational_normal_curve(3), 1)),
-        ("project", project_from(rational_normal_curve(3), ("random", 0), rng=rng)),
+        ("project", project_from(rational_normal_curve(3), random_center(3, 0, rng))),
         ("hypersurface", hypersurface(3, quad)),
         ("on_quadric", on_quadric(cubic6)),
         ("cone_section", random_cone_section(veronese(projective_space(2), 2), 2, rng)),
@@ -70,6 +71,32 @@ class TestSamplerContract:
                     for row in pf.frame:
                         red.add(row)
                     assert red.contains(pf.point), name
+
+    def test_basis_frames_are_not_eliminated_again(self, ctxs, monkeypatch):
+        # Veronese (p not dividing d), ConeOver and JoinLinear build a basis:
+        # the only row_basis of a sample is the Parametric child's.
+        calls = []
+
+        def counted(rows, p):
+            calls.append(p)
+            return row_basis(rows, p)
+
+        monkeypatch.setattr(secantry.linalg, "row_basis", counted)
+        for spec in (veronese(scroll([1, 1, 1]), 2), cone_over(rational_normal_curve(3), 1),
+                     join_linear(scroll([1, 1]), [[1, 2, 3, 4], [5, 6, 7, 8]])):
+            for s in range(3):
+                calls.clear()
+                spec.sample(ctxs[0], derive_rng(SEED, "basis", repr(spec), s))
+                assert len(calls) == 1, spec
+
+    @pytest.mark.parametrize("p, d", [(2, 2), (3, 3)])
+    def test_veronese_frame_when_p_divides_d(self, p, d):
+        # The pushes of the child's frame lose rank when p | d (q pushes to
+        # d*point = 0), so the point row must join them.
+        spec = veronese(projective_space(2), d)
+        for s in range(3):
+            pf = spec.sample(PrimeContext(p=p), derive_rng(SEED, "p|d", p, s))
+            assert len(pf.frame) == rank(pf.frame, p) == spec.dim + 1
 
     def test_sample_determinism(self, ctxs):
         spec = veronese(scroll([1, 1]), 2)
@@ -280,7 +307,7 @@ class TestCombinatorDimensions:
 
 class TestProjectFrom:
     def test_generic_point_projection_of_twisted_cubic(self, ctxs, rng):
-        spec = project_from(rational_normal_curve(3), ("random", 0), rng=rng)
+        spec = project_from(rational_normal_curve(3), random_center(3, 0, rng))
         assert spec.ambient == 2
         assert span_dim(spec, ctxs[0], rng) == 3  # a plane cubic spans P^2
 
@@ -302,7 +329,7 @@ class TestProjectFrom:
 
     def test_secant_center_lowers_span(self, ctxs, rng):
         child = veronese(scroll([1, 1, 0]), 2)
-        spec = project_from(child, ("points", 2), rng=rng)
+        spec = project_from(child, center_on_points(child, 2, rng))
         assert span_dim(spec, ctxs[0], rng) == 12  # 14 independent quadrics - 2
 
     def test_centers_below_a_projection_rejected(self):
@@ -316,9 +343,9 @@ class TestProjectFrom:
                             MPoly.zero(nv), MPoly.zero(nv)])
         proj = ProjectFrom(conic, [[1, 0, 0, 1, 0]])
         for spec in (proj, segre_pair(projective_space(1), proj), veronese(proj, 2)):
-            for center in (("points", 1), ("span", 0)):
+            for build, s in ((center_on_points, 1), (center_in_span, 0)):
                 with pytest.raises(NotParametric):
-                    project_from(spec, center, rng=derive_rng(SEED, "below"))
+                    build(spec, s, derive_rng(SEED, "below"))
 
 
 class TestSpanDim:
