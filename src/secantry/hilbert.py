@@ -2,7 +2,7 @@
 
 h_X(2) is the number of independent quadrics *on* X: the rank of the
 matrix whose columns are all degree-2 monomials in the ambient
-coordinates, evaluated at a comfortable surplus of sampled points.
+coordinates, evaluated at points of X until it stops rising (`hilbert2`).
 Evaluation works uniformly for implicit-backed varieties and avoids the
 term blowup of composing coordinate polynomials symbolically.
 """
@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 from .linalg import PrimeContext, fold
 from .variety import VarietySpec, span_dim
+
+STALL = 8  # hilbert2 stops once this many points in a row add no rank
 
 
 class MinimalDegreeViolated(ValueError):
@@ -35,23 +37,30 @@ def castelnuovo_bound(r: int, n: int, d: int) -> tuple[int, int]:
     return iota, bound
 
 
-def hilbert2(spec: VarietySpec, ctxs: list[PrimeContext],
-             rng: random.Random) -> int:
-    """h_X(2): rank of degree-2 monomial evaluations at sampled points.
+def hilbert2(spec: VarietySpec, ctxs: list[PrimeContext], rng: random.Random,
+             points: dict[int, list[list[int]]] | None = None) -> int:
+    """h_X(2) of an irreducible X: rank of degree-2 monomial evaluations at points of X.
 
-    Draws C(R+2, 2) + 8 samples per prime (R+1 ambient coordinates), so a
-    rank deficit is attributable to the variety rather than undersampling;
+    Per prime p, reads `points[p]` (points of X, such as `ScanResult.points`)
+    first, then fresh samples, until the rank is full, STALL points in a row
+    add no rank, or C(R+2, 2) + STALL points (R+1 coordinates) were read;
     the maximum across primes is reported.
+
+    The stall stop needs X irreducible, as Terracini's lemma does.  Below
+    rank h2, some nonzero quadric on X vanishes at every point read, and a
+    general point of X is no zero of it, so each general point raises the
+    rank by one up to h2.  A stall below h2 takes STALL unlucky points in a
+    row: an error that only lowers the rank, like every other the maxima
+    absorb.  On a reducible X, points can stall on one component.
     """
     best = 0
-    ncoords = spec.ambient + 1
-    pairs = list(itertools.combinations_with_replacement(range(ncoords), 2))
-    nsamples = len(pairs) + 8
+    pairs = list(itertools.combinations_with_replacement(range(spec.ambient + 1), 2))
     for ctx in ctxs:
         p = ctx.p
-        points = (spec.sample(ctx, rng).point for _ in range(nsamples))
-        rows = ([q[i] * q[j] % p for i, j in pairs] for q in points)
-        best = max(best, fold(rows, p, len(pairs)).rank)
+        drawn = (points or {}).get(p, ())
+        fresh = (spec.sample(ctx, rng).point for _ in range(len(pairs) + STALL - len(drawn)))
+        rows = ([q[i] * q[j] % p for i, j in pairs] for q in itertools.chain(drawn, fresh))
+        best = max(best, fold(rows, p, len(pairs), STALL).rank)
     return best
 
 

@@ -166,11 +166,15 @@ class RowReducer:
         return not any(self.residual(row))
 
 
-def fold(rows: Iterable[list[int]], p: int, full: int | None = None) -> RowReducer:
-    """A RowReducer holding the span of `rows`, read lazily until its rank is `full`."""
+def fold(rows: Iterable[list[int]], p: int, full: int | None = None,
+         stall: int | None = None) -> RowReducer:
+    """A RowReducer holding the span of `rows`, read lazily until its rank is
+    `full` or `stall` consecutive rows have added nothing to it."""
     red = RowReducer(p)
+    idle = 0
     for row in rows:
-        if red.add(row) and red.rank == full:
+        idle = 0 if red.add(row) else idle + 1
+        if red.rank == full or idle == stall:
             break
     return red
 

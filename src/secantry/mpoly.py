@@ -294,6 +294,9 @@ class PolyParseError(ValueError):
 
 
 _VAR_NAMES = ("x", "t")
+# Parsing multiplies a base exponent-many times, and sampling solves univariates
+# of the equation's degree (~0.15 s each at 100); the catalog's largest is 13.
+MAX_EXPONENT = 100
 
 
 def parse_poly(text: str, nvars: int) -> MPoly:
@@ -343,8 +346,8 @@ def parse_poly(text: str, nvars: int) -> MPoly:
         if peek() == "^":
             take()
             exp_tok = take()
-            if not exp_tok.isdigit():
-                raise PolyParseError(f"bad exponent {exp_tok!r}")
+            if not exp_tok.isdigit() or int(exp_tok) > MAX_EXPONENT:
+                raise PolyParseError(f"bad exponent {exp_tok!r} (at most {MAX_EXPONENT})")
             out = MPoly.constant(nvars, 1)
             for _ in range(int(exp_tok)):
                 out = out * base

@@ -14,7 +14,7 @@ primes, with an `agreement` flag recording whether all runs concurred.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from . import linalg
 from .linalg import PrimeContext, RowReducer
@@ -46,6 +46,7 @@ class SecantReport:
     trials: int
     primes: list[int]
     agreement: bool
+    points: dict[int, list[list[int]]] = field(default_factory=dict, repr=False, compare=False)
 
 
 def _report(k: int, r: int, n: int, chain: list[int], trials: int,
@@ -61,6 +62,7 @@ def _report(k: int, r: int, n: int, chain: list[int], trials: int,
 class ScanResult:
     first_defective: int | None
     reports: list[SecantReport]
+    points: dict[int, list[list[int]]]  # each prime's chain points, keyed by p
 
     @property
     def top(self) -> SecantReport:
@@ -129,15 +131,17 @@ def secant_dim(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
         raise ValueError("need k >= 0 and trials >= 1")
     chains = []
     spans = []
+    points: dict[int, list[list[int]]] = {}
     for ctx in ctxs:
-        points: list[list[int]] = []
+        drawn = points[ctx.p] = []
         for _ in range(trials):
-            chains.append(_chain_once(spec, k, ctx, rng, points))
-        spans.append(span_dim(spec, ctx, rng, points=points))
+            chains.append(_chain_once(spec, k, ctx, rng, drawn))
+        spans.append(span_dim(spec, ctx, rng, points=drawn))
     r = max(spans) - 1
     chain = [max(c[h] for c in chains) for h in range(k + 1)]
     agreement = all(c == chain for c in chains) and all(s - 1 == r for s in spans)
-    return _report(k, r, spec.dim, chain, trials, [c.p for c in ctxs], agreement)
+    return replace(_report(k, r, spec.dim, chain, trials, [c.p for c in ctxs], agreement),
+                   points=points)
 
 
 def defect(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
@@ -160,7 +164,7 @@ def min_defective_scan(spec: VarietySpec, k_max: int, ctxs: list[PrimeContext],
                for h in range(k_max + 1)]
     first = next((h for h in range(1, k_max + 1)
                   if reports[h].delta_k > 0 and full.chain[h] < full.r), None)
-    return ScanResult(first_defective=first, reports=reports)
+    return ScanResult(first_defective=first, reports=reports, points=full.points)
 
 
 def _tangential_once(spec: VarietySpec, k: int, ctx: PrimeContext,

@@ -22,7 +22,7 @@ from secantry.variety import (cone_over, join_linear, project_from,
                               rational_normal_curve, scroll, segre_pair,
                               veronese)
 
-from conftest import SEED
+from seeds import SEED
 from test_variety import spec_zoo
 
 

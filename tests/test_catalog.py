@@ -14,7 +14,7 @@ from secantry.catalog import (FAMILIES, FAMILY_DOMAINS, FAMILY_VARIANTS,
 from secantry.linalg import derive_rng
 from secantry.variety import spec_hash
 
-from conftest import SEED
+from seeds import SEED
 
 GOLDEN = Path(__file__).resolve().parent / "catalog_golden.json"
 

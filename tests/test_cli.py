@@ -91,9 +91,10 @@ class TestAnalyze:
     # `scaled`, or a block row narrower than the child: int(), bool() or
     # zip would quietly read each one as a different spec.  An integer out
     # of its range would fail only at sampling, or be kept as given.  A
-    # polynomial that is not a string, ends in a dangling `^`, or nests so
-    # deeply (as may the JSON itself) that a recursive reader overflows must
-    # still end in one `error:` line, not a traceback.
+    # polynomial that is not a string, ends in a dangling `^`, raises to an
+    # exponent above mpoly.MAX_EXPONENT, or nests so deeply (as may the JSON
+    # itself) that a recursive reader overflows must still end in one
+    # `error:` line, not a traceback.
     @pytest.mark.parametrize("spec", [
         '{"op":"hypersurface","m":3.9,"equation":"x0*x1 - x2*x3"}',
         '{"op":"cone","vertex_dim":0.5,"child":%s}' % CUBIC,
@@ -115,6 +116,7 @@ class TestAnalyze:
         '{"op":"hypersurface","m":2,"equation":5}',
         '{"op":"parametric","nvars":1,"coords":[1,"t0"]}',
         '{"op":"hypersurface","m":2,"equation":"x0^"}',
+        '{"op":"hypersurface","m":2,"equation":"x0^10000000 - x1^10000000"}',
         '{"op":"hypersurface","m":2,"equation":"%sx0%s"}' % ("(" * 3000, ")" * 3000),
         "[" * 100000 + "]" * 100000,
     ], ids=["m-float", "vertex_dim-float", "d-bool", "center-float", "scaled-string",
@@ -122,7 +124,7 @@ class TestAnalyze:
             "dim-negative", "scroll-degree-negative", "m-zero", "m-negative",
             "degree-negative", "project-degree-zero", "base_vars-negative",
             "nvars-negative", "equation-number", "coord-number",
-            "equation-dangling-power", "equation-nested-3000", "json-nested-100000"])
+            "equation-dangling-power", "equation-huge-exponent", "equation-nested-3000", "json-nested-100000"])
     def test_mistyped_fields_are_parse_errors(self, spec, tmp_path, capsys):
         path = tmp_path / "mistyped.variety.json"
         path.write_text(spec)

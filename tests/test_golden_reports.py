@@ -45,6 +45,11 @@ COMMANDS = {
     "analyze-ex-segre-k2": ["analyze", "tests/specs/ex-segre-k2.variety.json", "--k", "1"],
     "analyze-ex-segre-k2-kmax3": ["analyze", "tests/specs/ex-segre-k2.variety.json",
                                   "--k", "1", "--k-max", "3"],
+    # h2 stops at full rank: no quadric vanishes on a cubic threefold in
+    # P^4, so h2 = 15 is every column (the Segre entries above stop on a
+    # stalled rank, 100 of 136).  The Hypersurface sampler solves roots.
+    "analyze-cubic-threefold": ["analyze", "tests/specs/cubic-threefold.variety.json",
+                                "--k", "1"],
     # One entry per root-solving sampler: F5 is the catalog's only
     # RestrictedChart, F1 `point` a ConeSection, F8 a Hypersurface.
     "verify-F5-k4": ["catalog", "verify", "--family", "F5", "--k", "4"],

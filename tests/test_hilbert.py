@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from secantry.hilbert import (MinimalDegreeViolated, castelnuovo_bound,
                               check_quadric_bounds, hilbert2, hilbert_report)
-from secantry.linalg import derive_rng
-from secantry.mpoly import random_poly
-from secantry.variety import (cone_over, hypersurface, project_from,
+from secantry.linalg import derive_rng, make_contexts
+from secantry.mpoly import parse_poly, random_poly
+from secantry.variety import (VarietySpec, cone_over, hypersurface, project_from,
                               projective_space, random_center,
                               rational_normal_curve, scroll, veronese)
 
-from conftest import SEED
+from seeds import SEED
 
 
 class TestHilbert2:
@@ -48,6 +50,58 @@ class TestHilbert2:
             rep = hilbert_report(spec, ctxs, rng)
             top = rep.h1 * (rep.h1 + 1) // 2
             assert rep.h1 <= rep.h2 < top
+
+
+class TestHilbert2Stops:
+    """Where hilbert2 stops reading points, counted as top-level draws per prime."""
+
+    @staticmethod
+    def count_draws(spec, monkeypatch) -> Counter:
+        drawn = Counter()
+        sample = VarietySpec.sample
+
+        def counting(self, ctx, rng):
+            if self is spec:
+                drawn[ctx.p] += 1
+            return sample(self, ctx, rng)
+
+        monkeypatch.setattr(VarietySpec, "sample", counting)
+        return drawn
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_full_rank_stops_at_the_last_column(self, ctxs, rng, monkeypatch, n):
+        spec = projective_space(n)
+        drawn = self.count_draws(spec, monkeypatch)
+        ncols = (n + 1) * (n + 2) // 2
+        assert hilbert2(spec, ctxs, rng) == ncols
+        assert drawn == {c.p: ncols for c in ctxs}
+
+    def test_stall_stops_after_h2_plus_stall_draws(self, ctxs, rng, monkeypatch):
+        # v_2(P^2) in P^5: h2 = 15 of 21 columns, so the rank stalls at 15
+        # and 8 more draws that add nothing end the prime, 6 short of the
+        # 21 + 8 cap.
+        spec = veronese(projective_space(2), 2)
+        drawn = self.count_draws(spec, monkeypatch)
+        assert hilbert2(spec, ctxs, rng) == 15
+        assert drawn == {c.p: 15 + 8 for c in ctxs}
+
+    def test_chain_points_are_read_before_fresh_draws(self, ctxs, rng, monkeypatch):
+        # 10 points leave 15 + 8 - 10 draws to make; 30 points reach the
+        # stall by themselves, so that prime draws nothing.
+        spec = veronese(projective_space(2), 2)
+        points = {c.p: [spec.sample(c, rng).point for _ in range(n)]
+                  for c, n in zip(ctxs, (10, 30))}
+        drawn = self.count_draws(spec, monkeypatch)
+        assert hilbert2(spec, ctxs, rng, points=points) == 15
+        assert drawn == {ctxs[0].p: 15 + 8 - 10}
+
+    def test_reducible_union_of_two_planes(self):
+        # h2 assumes an irreducible X; x0*x1 = 0 in P^3 is two planes, whose
+        # points can stall the rank on one plane.  Over seeds 0..99 the
+        # maximum across both primes still reads 10 - 1 = 9.
+        spec = hypersurface(3, parse_poly("x0*x1", 4))
+        assert [hilbert2(spec, make_contexts(seed), derive_rng(seed, "reducible"))
+                for seed in range(100)] == [9] * 100
 
 
 class TestCastelnuovoBound:

@@ -11,7 +11,7 @@ from secantry.linalg import (PACK_MIN_WIDTH, PrimeContext, RowReducer,
                              derive_rng, is_prime_u64, kernel_basis,
                              make_contexts, random_prime, rank, row_basis)
 
-from conftest import SEED
+from seeds import SEED
 
 
 def fraction_rank(mat):

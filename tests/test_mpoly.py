@@ -7,8 +7,8 @@ import random
 import pytest
 
 from secantry.linalg import rank
-from secantry.mpoly import (MPoly, PolyMap, PolyParseError, parse_poly, poly_str,
-                            random_poly)
+from secantry.mpoly import (MAX_EXPONENT, MPoly, PolyMap, PolyParseError, parse_poly,
+                            poly_str, random_poly)
 from secantry.variety import Parametric, SampleExhausted
 
 
@@ -249,3 +249,16 @@ class TestParser:
             parse_poly("x0 + ", 3)
         with pytest.raises(PolyParseError):
             parse_poly("y0", 3)
+
+    def test_exponent_cap_rejects_before_multiplying(self, monkeypatch):
+        # x^e is built by e multiplications, so an exponent above the cap
+        # must be refused before the first one, however large it is.
+        assert parse_poly(f"x0^{MAX_EXPONENT}", 1).degree() == MAX_EXPONENT
+
+        def refuse(self, other):
+            raise AssertionError("multiplied before rejecting the exponent")
+
+        monkeypatch.setattr(MPoly, "__mul__", refuse)
+        for text in (f"x0^{MAX_EXPONENT + 1}", "x0**10000000 - x1^10000000"):
+            with pytest.raises(PolyParseError, match="exponent"):
+                parse_poly(text, 2)

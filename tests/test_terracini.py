@@ -18,7 +18,7 @@ from secantry.variety import (NotParametric, VarietySpec, cone_over,
                               random_center, rational_normal_curve, scroll,
                               segre_pair, span_dim, veronese)
 
-from conftest import SEED
+from seeds import SEED
 
 
 class TestSecantDim:

@@ -7,7 +7,7 @@ import itertools
 from secantry.linalg import derive_rng
 from secantry.uniroots import poly_divmod, poly_gcd, poly_sub, roots, sqrt_mod, trim
 
-from conftest import SEED
+from seeds import SEED
 
 # The first prime of seed 1.  p = 1 mod 8, so 8 divides p - 1 and the
 # Tonelli-Shanks loop runs for most squares.

@@ -24,7 +24,7 @@ from secantry.variety import (CenterContainsVariety, NotParametric,
                               ruled_join, scroll, segre_pair, span_dim,
                               spec_hash, veronese)
 
-from conftest import SEED
+from seeds import SEED
 
 
 def spec_zoo(rng):
