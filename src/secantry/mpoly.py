@@ -7,23 +7,36 @@ independently drawn primes, which is how every dimension measurement in
 this package gets cross-checked.
 
 Ring operations (+, *, partial derivatives) are exact over the integers.
-A term map {exponent_tuple: coefficient} never stores zero coefficients.
+A term map {exponent_tuple: coefficient} never stores zero coefficients,
+and is not changed once the polynomial has been evaluated.
+
+Evaluation goes through one plan per prime, built on the first
+`grad_eval` or `to_univariate` under that prime and cached on the
+polynomial.  A plan holds the terms reduced mod p, by degree: the
+constant; the linear coefficients l; the quadric as the rows of an
+upper-triangular U (value x . Ux) and of M = U + U^T (gradient Mx) for
+each variable in a quadric term; and the terms of degree >= 3, with
+their partials, as sparse lists (c, ((i, k), ...)), read from power
+tables x_i^0 .. x_i^top built by repeated multiplication.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from math import prod
+from operator import mul
 
 
 class MPoly:
     """Sparse multivariate polynomial with integer coefficients."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_plans")
 
     def __init__(self, nvars: int, terms: dict[tuple[int, ...], int] | None = None):
         self.nvars = nvars
         self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
+        self._plans: dict[int, _Plan] = {}
 
     # -- constructors -----------------------------------------------------
 
@@ -124,53 +137,52 @@ class MPoly:
         return self.grad_eval(point, p)[0]
 
     def grad_eval(self, point: list[int], p: int) -> tuple[int, list[int]]:
-        """Value and full gradient at `point`, in one pass over the terms.
-
-        d/dv_i of c*prod_j v_j^k_j is c*k_i*v_i^(k_i-1)*prod_{j != i} v_j^k_j.
-        """
+        """Value and full gradient at `point`, from this prime's plan."""
         if len(point) != self.nvars:
             raise ValueError("point length must equal nvars")
-        pt = [v % p for v in point]
-        value = 0
-        grad = [0] * self.nvars
-        for e, c in self.terms.items():
-            support = [(i, k, pow(pt[i], k - 1, p)) for i, k in enumerate(e) if k]
-            full = [low * pt[i] % p for i, _, low in support]
-            c %= p
-            t = c
-            for f in full:
-                t = t * f % p
-            value += t
-            for a, (i, k, low) in enumerate(support):
-                d = c * k * low
-                for b, f in enumerate(full):
-                    if b != a:
-                        d = d * f % p
-                grad[i] += d
+        plan = self._plans.get(p) or self._plans.setdefault(p, _Plan(self, p))
+        x = [v % p for v in point]
+        value = plan.const + sum(map(mul, plan.lin, x))
+        grad = list(plan.lin)
+        for i, m, u in plan.quad:
+            grad[i] += sum(map(mul, m, x))
+            value += x[i] * sum(map(mul, u, x))
+        if plan.rest:
+            pw = plan.powers(x, p)
+            for c, sup in plan.rest:
+                value += c * prod([pw[i][k] for i, k in sup])
+            for i, c, sup in plan.partials:
+                grad[i] += c * prod([pw[j][k] for j, k in sup])
         return value % p, [g % p for g in grad]
 
     def to_univariate(self, values: list[int | None], p: int) -> list[int]:
         """Substitute numbers for all variables except the single None slot.
 
         Returns ascending coefficients of the remaining univariate polynomial.
+        The quadric's three are read off the plan: U[j][j], M[j] . x + l[j]
+        and the value at x_j = 0.
         """
+        if len(values) != self.nvars:
+            raise ValueError("values length must equal nvars")
         free = [i for i, v in enumerate(values) if v is None]
         if len(free) != 1:
             raise ValueError("exactly one variable must stay free")
-        var = free[0]
-        coeffs: dict[int, int] = {}
-        for e, c in self.terms.items():
-            t = c % p
-            for i, k in enumerate(e):
-                if k and i != var:
-                    t = t * pow(values[i] % p, k, p) % p
-            d = e[var]
-            coeffs[d] = (coeffs.get(d, 0) + t) % p
-        if not coeffs:
-            return []
-        out = [0] * (max(coeffs) + 1)
-        for d, c in coeffs.items():
-            out[d] = c
+        j = free[0]
+        plan = self._plans.get(p) or self._plans.setdefault(p, _Plan(self, p))
+        x = [0 if v is None else v % p for v in values]
+        out = [plan.const + sum(map(mul, plan.lin, x)), plan.lin[j], 0]
+        for i, m, u in plan.quad:
+            out[0] += x[i] * sum(map(mul, u, x))
+            if i == j:
+                out[1] += sum(map(mul, m, x))
+                out[2] = u[j]
+        if plan.rest:
+            pw = plan.powers(x, p)
+            for c, sup in plan.rest:
+                d = dict(sup).get(j, 0)
+                out += [0] * (d + 1 - len(out))
+                out[d] += c * prod([pw[i][k] for i, k in sup if i != j])
+        out = [c % p for c in out]
         while out and out[-1] == 0:
             out.pop()
         return out
@@ -184,6 +196,49 @@ class MPoly:
                 e2[offset + i] = k
             terms[tuple(e2)] = c
         return MPoly(new_nvars, terms)
+
+
+class _Plan:
+    """One polynomial's terms under one prime, grouped by degree (see module doc)."""
+
+    __slots__ = ("const", "lin", "quad", "rest", "partials", "tops")
+
+    def __init__(self, f: MPoly, p: int):
+        n = f.nvars
+        const, lin, quad = 0, [0] * n, {}
+        self.rest, self.partials, tops = [], [], {}
+        for e, c in f.terms.items():
+            sup = tuple((i, k) for i, k in enumerate(e) if k)
+            deg = sum(k for _, k in sup)
+            if deg == 0:
+                const += c
+            elif deg == 1:
+                lin[sup[0][0]] += c
+            elif deg == 2:
+                i, j = sup[0][0], sup[-1][0]
+                quad.setdefault(j, ([0] * n, [0] * n))[0][i] += c
+                m_i, u_i = quad.setdefault(i, ([0] * n, [0] * n))
+                m_i[j] += c
+                u_i[j] = c
+            elif c % p:
+                self.rest.append((c % p, sup))
+                for a, (i, k) in enumerate(sup):
+                    tops[i] = max(tops.get(i, 0), k)
+                    low = sup[:a] + ((i, k - 1),) * (k > 1) + sup[a + 1:]
+                    self.partials.append((i, c * k % p, low))
+        self.const, self.lin, self.tops = const % p, [c % p for c in lin], sorted(tops.items())
+        # At p = 2 the M row of x0^2 is 2 = 0, but its U row is not.
+        self.quad = [(i, [c % p for c in m], [c % p for c in u])
+                     for i, (m, u) in sorted(quad.items())]
+
+    def powers(self, x: list[int], p: int) -> dict[int, list[int]]:
+        """x_i^0 .. x_i^top for every variable of the degree >= 3 terms."""
+        pw = {}
+        for i, top in self.tops:
+            pw[i] = row = [1, x[i]]
+            for _ in range(top - 1):
+                row.append(row[-1] * x[i] % p)
+        return pw
 
 
 class PolyMap:
@@ -295,8 +350,12 @@ class PolyParseError(ValueError):
 
 _VAR_NAMES = ("x", "t")
 # Parsing multiplies a base exponent-many times, and sampling solves univariates
-# of the equation's degree (~0.15 s each at 100); the catalog's largest is 13.
+# of the equation's degree (~0.15 s each at 100): the cap bounds each exponent
+# and each product's total degree.  The catalog's largest degree is 13.
 MAX_EXPONENT = 100
+# Term pairs one parse may multiply in all (~0.2 s); no shipped or test spec
+# and no catalog entry needs 1000.
+MAX_TERM_WORK = 100_000
 
 
 def parse_poly(text: str, nvars: int) -> MPoly:
@@ -309,7 +368,15 @@ def parse_poly(text: str, nvars: int) -> MPoly:
     if not isinstance(text, str):
         raise PolyParseError(f"expected a polynomial string, got {text!r}")
     tokens = _tokenize(text)
-    pos = [0]
+    pos, work = [0], [0]
+
+    def times(a: MPoly, b: MPoly) -> MPoly:
+        if a.degree() + b.degree() > MAX_EXPONENT:
+            raise PolyParseError(f"total degree above {MAX_EXPONENT}")
+        work[0] += len(a.terms) * len(b.terms)
+        if work[0] > MAX_TERM_WORK:
+            raise PolyParseError(f"expansion needs over {MAX_TERM_WORK} term products")
+        return a * b
 
     def peek() -> str | None:
         return tokens[pos[0]] if pos[0] < len(tokens) else None
@@ -338,7 +405,7 @@ def parse_poly(text: str, nvars: int) -> MPoly:
         while peek() == "*" or (peek() is not None and peek() not in "+-*^)" and peek() != ")"):
             if peek() == "*":
                 take()
-            acc = acc * parse_factor()
+            acc = times(acc, parse_factor())
         return acc
 
     def parse_factor() -> MPoly:
@@ -350,7 +417,7 @@ def parse_poly(text: str, nvars: int) -> MPoly:
                 raise PolyParseError(f"bad exponent {exp_tok!r} (at most {MAX_EXPONENT})")
             out = MPoly.constant(nvars, 1)
             for _ in range(int(exp_tok)):
-                out = out * base
+                out = times(out, base)
             return out
         return base
 

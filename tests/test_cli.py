@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from secantry.cli import main
+from secantry.linalg import make_contexts
 
-SPECS = Path(__file__).resolve().parents[1] / "specs"
+ROOT = Path(__file__).resolve().parents[1]
+SPECS = ROOT / "specs"
 
 ANALYZE_FIELDS = {"spec_hash", "seed", "primes", "trials", "ambient_r",
                   "dim_n", "chain", "sigma_k", "delta_k", "n_k", "m_k",
@@ -163,6 +168,33 @@ class TestAnalyze:
         assert run(["analyze", str(spec), "--k", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: sampling failed") and err.count("\n") == 1, err
+
+    def test_no_root_found_exit_2(self, tmp_path, capsys):
+        # Both of seed 6's primes are 3 mod 8, where 2 is not a square, so
+        # x0^2 = 2*x1^2 has no point and the Hypersurface sampler finds no root.
+        assert all(c.p % 8 == 3 for c in make_contexts(6))
+        spec = tmp_path / "pointless.variety.json"
+        spec.write_text('{"op":"hypersurface","m":1,"equation":"x0^2 - 2*x1^2"}')
+        assert run(["analyze", str(spec), "--k", "1", "--seed", "6"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sampling failed: Hypersurface: no univariate root")
+        assert err.count("\n") == 1, err
+
+    # Each `^` is capped at mpoly.MAX_EXPONENT, but products of capped
+    # powers could still expand for minutes, so these run in a subprocess
+    # that the timeout stops.
+    @pytest.mark.parametrize("m, equation", [
+        (9, "(x0+x1+x2+x3+x4+x5+x6+x7+x8+x9)^20"),
+        (1, "((x0+x1)^100)^100"),
+    ], ids=["many-terms", "nested-powers"])
+    def test_expansion_is_bounded(self, m, equation, tmp_path):
+        spec = tmp_path / "huge.variety.json"
+        spec.write_text(json.dumps({"op": "hypersurface", "m": m, "equation": equation}))
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-m", "secantry.cli", "analyze", str(spec),
+                               "--k", "1"], env=env, capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 class TestCatalogCommands:

@@ -58,6 +58,12 @@ COMMANDS = {
     "verify-F8-k2": ["catalog", "verify", "--family", "F8", "--k", "2"],
     "verify-F13-k2-seed5": ["catalog", "verify", "--family", "F13", "--k", "2",
                             "--seed", "5"],
+    # Dense quadrics at large nvars, read through each prime's plan: F1
+    # k = 4's section is a 253-term quadric in 22 variables; the `line`
+    # variant adds a 276-term quadric in 23.
+    "verify-F1-k4": ["catalog", "verify", "--family", "F1", "--k", "4"],
+    "verify-F1-k4-line": ["catalog", "verify", "--family", "F1", "--k", "4",
+                          "--variant", "line"],
 }
 
 

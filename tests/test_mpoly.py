@@ -7,9 +7,11 @@ import random
 import pytest
 
 from secantry.linalg import rank
-from secantry.mpoly import (MAX_EXPONENT, MPoly, PolyMap, PolyParseError, parse_poly,
-                            poly_str, random_poly)
+from secantry.mpoly import (MAX_EXPONENT, MPoly, PolyMap, PolyParseError, monomial_exponents,
+                            parse_poly, poly_str, random_poly)
 from secantry.variety import Parametric, SampleExhausted
+
+P62 = 4611686018427387847  # 2^62 - 57, prime
 
 
 def horner_eval(f: MPoly, point, p):
@@ -262,3 +264,118 @@ class TestParser:
         for text in (f"x0^{MAX_EXPONENT + 1}", "x0**10000000 - x1^10000000"):
             with pytest.raises(PolyParseError, match="exponent"):
                 parse_poly(text, 2)
+
+
+def dense_grad_eval(f: MPoly, point, p):
+    """Oracle: value and gradient term by term, every exponent through pow()."""
+    pt = [v % p for v in point]
+    value = 0
+    grad = [0] * f.nvars
+    for e, c in f.terms.items():
+        support = [(i, k, pow(pt[i], k - 1, p)) for i, k in enumerate(e) if k]
+        full = [low * pt[i] % p for i, _, low in support]
+        c %= p
+        t = c
+        for v in full:
+            t = t * v % p
+        value += t
+        for a, (i, k, low) in enumerate(support):
+            d = c * k * low
+            for b, v in enumerate(full):
+                if b != a:
+                    d = d * v % p
+            grad[i] += d
+    return value % p, [g % p for g in grad]
+
+
+def dense_to_univariate(f: MPoly, values, p):
+    """Oracle: the coefficients in the free slot, collected term by term."""
+    var = values.index(None)
+    coeffs: dict[int, int] = {}
+    for e, c in f.terms.items():
+        t = c % p
+        for i, k in enumerate(e):
+            if k and i != var:
+                t = t * pow(values[i] % p, k, p) % p
+        coeffs[e[var]] = (coeffs.get(e[var], 0) + t) % p
+    out = [0] * (max(coeffs, default=-1) + 1)
+    for d, c in coeffs.items():
+        out[d] = c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def mixed_poly(nvars: int, p: int, rng: random.Random) -> MPoly:
+    """A constant, linear terms, a dense or sparse quadric and higher terms.
+
+    Coefficients are small or 63-bit, of either sign, and may vanish mod p;
+    the higher terms reach degree p + 2 and exponent p + 1.
+    """
+    def coef():
+        return rng.choice((rng.randrange(-6, 7), rng.randrange(-(1 << 63), 1 << 63)))
+
+    terms = {(0,) * nvars: coef()} if rng.random() < 0.7 else {}
+    for e in monomial_exponents(nvars, 1):
+        if rng.random() < 0.6:
+            terms[e] = coef()
+    quadric = monomial_exponents(nvars, 2)
+    dense = rng.random() < 0.5
+    for e in quadric if dense else rng.sample(quadric, min(2, len(quadric))):
+        terms[e] = coef()
+    for _ in range(rng.randrange(4)):
+        terms[rng.choice(monomial_exponents(nvars, rng.randrange(3, min(p, 5) + 3)))] = coef()
+    if p < 100:
+        e = [0] * nvars
+        e[rng.randrange(nvars)] = p + 1
+        terms[tuple(e)] = coef()
+    return MPoly(nvars, terms)
+
+
+class TestPlanAgainstDense:
+    """Each prime's evaluation plan against the term-by-term dense loops."""
+
+    @pytest.mark.parametrize("p", [2, 3, 101, P62])
+    def test_random_polynomials(self, p, rng):
+        for _ in range(40):
+            nv = rng.randrange(1, 6)
+            f = mixed_poly(nv, p, rng)
+            for _ in range(3):
+                t = [rng.choice((0, rng.randrange(-p, 2 * p))) for _ in range(nv)]
+                assert f.grad_eval(t, p) == dense_grad_eval(f, t, p)
+                values = list(t)
+                values[rng.randrange(nv)] = None
+                assert f.to_univariate(values, p) == dense_to_univariate(f, values, p)
+
+    def test_dense_quadric_in_23_variables(self, rng):
+        # The shape of the catalog's largest cone section (276 terms).
+        for p in (3, P62):
+            f = random_poly(23, 2, rng)
+            t = [rng.randrange(p) for _ in range(23)]
+            assert f.grad_eval(t, p) == dense_grad_eval(f, t, p)
+            for j in (0, 11, 22):
+                values = t[:j] + [None] + t[j + 1:]
+                assert f.to_univariate(values, p) == dense_to_univariate(f, values, p)
+
+    def test_square_at_two(self):
+        # At p = 2 the gradient row of 3*x0^2 is 6*x0 = 0, yet its value is x0^2.
+        f = parse_poly("3*x0^2 + x1", 2)
+        assert f.grad_eval([1, 0], 2) == (1, [0, 1])
+        assert f.to_univariate([None, 0], 2) == [0, 0, 1]
+        assert f.to_univariate([1, None], 2) == [1, 1]
+
+    def test_primes_alternate_on_one_polynomial(self, rng):
+        # Each prime keeps its own cached plan; switching back reuses it.
+        f = mixed_poly(4, 5, rng)
+        for _ in range(3):
+            for p in (5, P62, 101):
+                t = [rng.randrange(p) for _ in range(4)]
+                assert f.grad_eval(t, p) == dense_grad_eval(f, t, p)
+                values = t[:2] + [None] + t[3:]
+                assert f.to_univariate(values, p) == dense_to_univariate(f, values, p)
+
+    def test_zero_and_constant(self):
+        assert MPoly.zero(2).grad_eval([3, 4], 7) == (0, [0, 0])
+        assert MPoly.zero(2).to_univariate([None, 4], 7) == []
+        assert MPoly.constant(2, 9).to_univariate([None, 4], 7) == [2]
+        assert MPoly.constant(2, 14).to_univariate([None, 4], 7) == []

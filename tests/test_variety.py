@@ -13,8 +13,8 @@ import pytest
 import secantry
 
 from secantry.linalg import PrimeContext, RowReducer, derive_rng, rank, row_basis
-from secantry.mpoly import MPoly, PolyMap, random_poly
-from secantry.variety import (CenterContainsVariety, NotParametric,
+from secantry.mpoly import MPoly, PolyMap, parse_poly, random_poly
+from secantry.variety import (CenterContainsVariety, NoRootFound, NotParametric,
                               ProjectFrom, SpecParseError, center_in_span,
                               center_on_points, cone_over, dumps_spec,
                               fibered_join, hypersurface, join_linear,
@@ -171,6 +171,18 @@ class TestHypersurfaceExactness:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode != 0
         assert "ArithmeticError: sampled point does not satisfy" in proc.stderr
+
+
+    def test_no_point_raises_no_root_found(self, rng):
+        # x0^2 = 2*x1^2 has no point over F_p when 2 is not a square mod p,
+        # that is when p = 3 or 5 mod 8: fixing either coordinate at c != 0
+        # leaves x^2 - 2c^2 or 2x^2 - c^2, with no root.  Only c = 0, with
+        # probability 1/p, gives the root 0 and the zero point.
+        p = 2**62 - 117
+        assert p % 8 == 3
+        spec = hypersurface(1, parse_poly("x0^2 - 2*x1^2", 2))
+        with pytest.raises(NoRootFound):
+            spec.sample(PrimeContext(p), rng)
 
 
 class TestQuadricChart:
