@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .linalg import PrimeContext, fold
-from .variety import VarietySpec, span_dim
+from .variety import VarietySpec, Veronese, span_dim
 
 STALL = 8  # hilbert2 stops once this many points in a row add no rank
 
@@ -39,7 +39,7 @@ def castelnuovo_bound(r: int, n: int, d: int) -> tuple[int, int]:
 
 def hilbert2(spec: VarietySpec, ctxs: list[PrimeContext], rng: random.Random,
              points: dict[int, list[list[int]]] | None = None) -> int:
-    """h_X(2) of an irreducible X: rank of degree-2 monomial evaluations at points of X.
+    """h_X(2) = h_{v2(X)}(1) of an irreducible X: the rank of v2 at points of X.
 
     Per prime p, reads `points[p]` (points of X, such as `ScanResult.points`)
     first, then fresh samples, until the rank is full, STALL points in a row
@@ -54,13 +54,14 @@ def hilbert2(spec: VarietySpec, ctxs: list[PrimeContext], rng: random.Random,
     absorb.  On a reducible X, points can stall on one component.
     """
     best = 0
-    pairs = list(itertools.combinations_with_replacement(range(spec.ambient + 1), 2))
+    v2 = Veronese(spec, 2)
+    ncols = v2.ambient + 1
     for ctx in ctxs:
         p = ctx.p
         drawn = (points or {}).get(p, ())
-        fresh = (spec.sample(ctx, rng).point for _ in range(len(pairs) + STALL - len(drawn)))
-        rows = ([q[i] * q[j] % p for i, j in pairs] for q in itertools.chain(drawn, fresh))
-        best = max(best, fold(rows, p, len(pairs), STALL).rank)
+        fresh = (spec.sample(ctx, rng).point for _ in range(ncols + STALL - len(drawn)))
+        rows = (v2.push(q, (), p).point for q in itertools.chain(drawn, fresh))
+        best = max(best, fold(rows, p, ncols, STALL).rank)
     return best
 
 

@@ -199,26 +199,12 @@ def kernel_basis(mat: list[list[int]], p: int) -> list[list[int]]:
         raise ValueError("kernel of an empty matrix is ambiguous")
     ncols = len(mat[0])
     red = fold(mat, p)
-    pivots = sorted(red.pivots)
-    rref = [red.pivots[c] for c in pivots]
-    # The echelon rows are zero left of their pivots; clearing each pivot
-    # column above its pivot, last pivot first, gives the (unique) RREF.
-    for i in range(len(rref) - 1, 0, -1):
-        col = pivots[i]
-        for j in range(i):
-            c = rref[j][col]
-            if c:
-                rref[j] = [(a - c * b) % p for a, b in zip(rref[j], rref[i])]
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        v = [0] * ncols
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-rref[i][f]) % p
-        basis.append(v)
-    return basis
+    # The echelon rows are zero left of their pivots; folding them back in,
+    # last pivot first, clears each pivot column above its pivot: the RREF.
+    rref = fold([red.pivots[c] for c in sorted(red.pivots, reverse=True)], p).pivots
+    # Each free column f gives e_f minus column f of the pivot rows.
+    return [[(-rref[c][f]) % p if c in rref else int(c == f) for c in range(ncols)]
+            for f in range(ncols) if f not in rref]
 
 
 def mat_vec(mat: list[list[int]], vec: list[int], p: int) -> list[int]:

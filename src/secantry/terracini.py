@@ -209,22 +209,22 @@ def tangential_projection(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
 
 
 def gauss_fiber_dim(spec: VarietySpec, ctxs: list[PrimeContext],
-                    rng: random.Random, points: int = 2) -> int:
+                    rng: random.Random) -> int:
     """Dimension of the general fiber of the Gauss map of a parametric variety.
 
     The differential of the Gauss map kills a tangent direction v exactly
     when every first-order variation of the frame along v stays inside the
     tangent space itself, so the fiber is the kernel dimension of the map
     v -> (d_v frame mod frame), minus the chart's own fiber directions.
-    Second-order data comes from formal partials of the chart.  The
-    minimum over primes and points is reported (rank can only drop on
-    unlucky samples).
+    Second-order data comes from formal partials of the chart.  One chart
+    point is drawn per prime, and the minimum over primes is reported (rank
+    can only drop on unlucky samples).
     """
     fibers = []
     for ctx in ctxs:
         cmap, _ = spec.chart(ctx)  # NotParametric for implicit-backed trees
         first = [[co.partial(j) for j in range(cmap.nvars)] for co in cmap.coords]
-        fibers += [_gauss_fiber_once(spec, cmap, first, ctx, rng) for _ in range(points)]
+        fibers.append(_gauss_fiber_once(spec, cmap, first, ctx, rng))
     return min(fibers)
 
 
@@ -273,7 +273,7 @@ def contact_shape(tan: TangentialReport, rng: random.Random) -> ContactShape:
     if tan.n_k != 2:
         return ContactShape("Indeterminate", gamma_lower)
     try:
-        fiber = min(gauss_fiber_dim(proj, [ctx], rng, points=1)
+        fiber = min(gauss_fiber_dim(proj, [ctx], rng)
                     for ctx, proj in tan.projections)
     except NotParametric:
         return ContactShape("Indeterminate", gamma_lower)

@@ -13,9 +13,11 @@ Hypersurface: the kernel of one nonzero gradient row.  ConeOver: the
 child's padded frame plus the vertex's unit rows (block-triangular).
 JoinLinear: 0 (+) M.q and a*f (+) b*M.f per child frame row f, which span
 the point and are independent as a != 0 and M.q != 0.  Veronese: the
-child's frame pushed by the d-uple map's differential, injective at q != 0
-when p does not divide d, where it sends q to d*point; when p divides d
-the pushes lose rank, so the point row is framed with them.
+child's point and frame carried up rungs (a degree-k monomial is a
+degree-(k-1) one times a variable) by the product rule; the differential
+is injective at q != 0 when p does not divide d, where it sends q to
+d*point; when p divides d the pushes lose rank, so the point row is
+framed with them.
 
 The leaves (Parametric, Hypersurface, RestrictedChart) reject a zero
 point (`zero_point`), as do ProjectFrom and JoinLinear, whose linear maps
@@ -49,8 +51,7 @@ from typing import NamedTuple
 
 from . import linalg, uniroots
 from .linalg import PrimeContext, SAMPLE_RETRIES
-from .mpoly import (MPoly, PolyMap, monomial_exponents, parse_poly, poly_str,
-                    random_poly)
+from .mpoly import MPoly, PolyMap, parse_poly, poly_str, random_poly
 
 
 class SampleExhausted(Exception):
@@ -186,55 +187,50 @@ class Parametric(VarietySpec):
 
 
 class Veronese(VarietySpec):
-    """Image under the degree-d monomial (Veronese) re-embedding."""
+    """Image under the degree-d monomial (Veronese) re-embedding.
+
+    Rung k lists each degree-k monomial, in combinations_with_replacement
+    order, as (index of its degree-(k-1) prefix, last variable).  The top
+    rung orders the coordinates, the order in which a spec writes the
+    equation of a `cone_section` over this node."""
 
     def __init__(self, child: VarietySpec, d: int):
         if d < 1:
             raise ValueError("Veronese degree must be >= 1")
         self.child = child
         self.d = d
-        self.combos = list(itertools.combinations_with_replacement(
-            range(child.ambient + 1), d))
+        self.rungs, lasts = [], [0]  # lasts: the last variable of each monomial a rung below
+        for _ in range(d):
+            self.rungs.append([(j, i) for j, low in enumerate(lasts)
+                               for i in range(low, child.ambient + 1)])
+            lasts = [i for _, i in self.rungs[-1]]
         self.dim = child.dim
-        self.ambient = len(self.combos) - 1
+        self.ambient = len(lasts) - 1
         self.degree = (child.degree * d ** child.dim) if child.degree is not None else None
 
-    def _push_point(self, q: list[int], p: int) -> list[int]:
-        out = []
-        for combo in self.combos:
-            t = 1
-            for i in combo:
-                t = t * q[i] % p
-            out.append(t)
-        return out
-
-    def _push_dir(self, q: list[int], v: list[int], p: int) -> list[int]:
-        # d/de of prod q[i]+e*v[i] over each index multiset (product rule).
-        out = []
-        for combo in self.combos:
-            acc = 0
-            for j in range(len(combo)):
-                t = v[combo[j]]
-                for l, i in enumerate(combo):
-                    if l != j:
-                        t = t * q[i] % p
-                acc += t
-            out.append(acc % p)
-        return out
+    def push(self, q: list[int], dirs: Sequence[list[int]], p: int) -> PointFrame:
+        """The monomials at q and their derivatives along each row v of `dirs`,
+        mod p, by the product rule d(m*q_i) = dm*q_i + m*v_i up the rungs."""
+        vals, ders = [1], [[0] for _ in dirs]
+        for rung in self.rungs:
+            ders = [[(dm[j] * q[i] + vals[j] * v[i]) % p for j, i in rung]
+                    for dm, v in zip(ders, dirs)]
+            vals = [vals[j] * q[i] % p for j, i in rung]
+        return PointFrame(vals, ders)
 
     def _sample_once(self, ctx, rng):
         p = ctx.p
         pf = self.child.sample(ctx, rng)
-        point = self._push_point(pf.point, p)
-        pushes = [self._push_dir(pf.point, v, p) for v in pf.frame]
+        point, pushes = self.push(pf.point, pf.frame, p)
         if self.d % p:
             return PointFrame(point, pushes)
         return _framed(self, point, [point] + pushes, p)
 
     def chart(self, ctx):
         cmap, kind = self.child.chart(ctx)
-        nq = len(cmap.coords)
-        coords = [cmap.pull_back(MPoly.monomial(nq, e)) for e in monomial_exponents(nq, self.d)]
+        coords = [MPoly.constant(cmap.nvars, 1)]
+        for rung in self.rungs:
+            coords = [coords[j] * cmap.coords[i] for j, i in rung]
         return PolyMap(cmap.nvars, coords), kind
 
     def to_obj(self):

@@ -64,6 +64,12 @@ COMMANDS = {
     "verify-F1-k4": ["catalog", "verify", "--family", "F1", "--k", "4"],
     "verify-F1-k4-line": ["catalog", "verify", "--family", "F1", "--k", "4",
                           "--variant", "line"],
+    # Veronese ladders off the plain 2-uple: EX_TERRACINI_13 is the
+    # catalog's only d = 3 Veronese (under a SegrePair); F4 k = 4 is a
+    # 2-uple over a ProjectFrom, whose kernel map runs kernel_basis.
+    "verify-EX_TERRACINI_13-k4": ["catalog", "verify", "--family", "EX_TERRACINI_13",
+                                  "--k", "4"],
+    "verify-F4-k4": ["catalog", "verify", "--family", "F4", "--k", "4"],
 }
 
 

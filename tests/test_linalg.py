@@ -205,6 +205,52 @@ class TestKernelAgainstGaussJordan:
                 assert kernel_basis(mat, p) == kernel_by_gauss_jordan(mat, p), mat
 
 
+def kernel_by_clearing_columns(mat, p):
+    """Oracle: the echelon rows with each pivot column cleared above its
+    pivot by hand, last pivot first, then the kernel read off that RREF."""
+    ncols = len(mat[0])
+    red = RowReducer(p)
+    for row in mat:
+        red.add(row)
+    pivots = sorted(red.pivots)
+    rref = [red.pivots[c] for c in pivots]
+    for i in range(len(rref) - 1, 0, -1):
+        col = pivots[i]
+        for j in range(i):
+            c = rref[j][col]
+            if c:
+                rref[j] = [(a - c * b) % p for a, b in zip(rref[j], rref[i])]
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = 1
+        for i, c in enumerate(pivots):
+            v[c] = (-rref[i][f]) % p
+        basis.append(v)
+    return basis
+
+
+class TestKernelAgainstClearedColumns:
+    @pytest.mark.parametrize("width", [7, PACK_MIN_WIDTH, PACK_MIN_WIDTH + 1, 90])
+    @pytest.mark.parametrize("p", [2, 3, 101, 3612720013493706217])
+    def test_identical_bases(self, p, width):
+        # Folding the echelon rows back in, last pivot first, must give the
+        # same RREF as clearing the columns by hand, on both sides of the
+        # packed-row threshold.
+        rng = derive_rng(SEED, "kernel-clearing", p, width)
+        for _ in range(8):
+            nrows = rng.randrange(1, 12)
+            dense = [[rng.randrange(-p, 2 * p) for _ in range(width)] for _ in range(nrows)]
+            basis = [[rng.randrange(p) for _ in range(width)] for _ in range(rng.randrange(1, 4))]
+            low = [[sum(rng.randrange(p) * b[i] for b in basis) % p for i in range(width)]
+                   for _ in range(nrows)]
+            sparse = [[rng.choice((0, 0, 0, rng.randrange(p))) for _ in range(width)]
+                      for _ in range(nrows)]
+            zero = [[0] * width for _ in range(nrows)]
+            for mat in (dense, low, sparse, zero):
+                assert kernel_basis(mat, p) == kernel_by_clearing_columns(mat, p), mat
+
+
 class TestSpan:
     def test_single_vector(self, ctxs):
         assert rank([[0, 3, 0]], ctxs[0].p) == 1

@@ -8,7 +8,7 @@ import pytest
 
 from secantry import terracini, uniroots
 from secantry.catalog import build_family
-from secantry.linalg import RowReducer, derive_rng
+from secantry.linalg import RowReducer, derive_rng, make_contexts
 from secantry.terracini import (contact_shape, defect, expected_secant_dim,
                                 gauss_fiber_dim, min_defective_scan,
                                 secant_dim, tangential_projection)
@@ -44,6 +44,18 @@ class TestSecantDim:
         assert a == b
         assert a.agreement
         assert a.primes == [c.p for c in ctxs]
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_disagreement_is_flagged_and_absorbed(self, seed):
+        # Under the 5-bit primes 23 and 29 a single trial of F10 k=3 falls
+        # short at these seeds: the flag records it, and the maxima still
+        # read the true chain and span.
+        ctxs = make_contexts(0, bits=5)
+        assert [c.p for c in ctxs] == [23, 29]
+        rep = secant_dim(build_family("F10", 3).spec, 3, ctxs,
+                         derive_rng(seed, "agree"), trials=1)
+        assert not rep.agreement
+        assert (rep.chain, rep.r) == ([3, 7, 11, 14], 15)
 
     def test_expected_dim_formula(self):
         assert expected_secant_dim(9, 3, 1) == 7

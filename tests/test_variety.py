@@ -13,7 +13,7 @@ import pytest
 import secantry
 
 from secantry.linalg import PrimeContext, RowReducer, derive_rng, rank, row_basis
-from secantry.mpoly import MPoly, PolyMap, parse_poly, random_poly
+from secantry.mpoly import MPoly, PolyMap, monomial_exponents, parse_poly, random_poly
 from secantry.variety import (CenterContainsVariety, NoRootFound, NotParametric,
                               ProjectFrom, SpecParseError, center_in_span,
                               center_on_points, cone_over, dumps_spec,
@@ -271,6 +271,61 @@ class TestVeronese:
     def test_degree_metadata(self):
         assert veronese(scroll([1, 1, 1]), 2).degree == 8 * 3
         assert veronese(rational_normal_curve(2), 3).degree == 6
+
+
+def push_point_oracle(combos, q, p):
+    """Each index multiset's product of q's coordinates, multiplied out afresh."""
+    out = []
+    for combo in combos:
+        t = 1
+        for i in combo:
+            t = t * q[i] % p
+        out.append(t)
+    return out
+
+
+def push_dir_oracle(combos, q, v, p):
+    """d/de of prod q[i]+e*v[i] over each index multiset, one product-rule term at a time."""
+    out = []
+    for combo in combos:
+        acc = 0
+        for j in range(len(combo)):
+            t = v[combo[j]]
+            for l, i in enumerate(combo):
+                if l != j:
+                    t = t * q[i] % p
+            acc += t
+        out.append(acc % p)
+    return out
+
+
+class TestVeroneseLadder:
+    @pytest.mark.parametrize("p", [2, 3, 101, 3612720013493706217])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_dense_loops(self, d, p):
+        # Includes p | d (p = 2 at d = 2, 4; p = 3 at d = 3) and zero
+        # coordinates, where the pushed rows lose rank.
+        rng = derive_rng(SEED, "ladder", d, p)
+        for n in (1, 2, 3):
+            spec = veronese(projective_space(n), d)
+            combos = list(itertools.combinations_with_replacement(range(n + 1), d))
+            assert spec.ambient + 1 == len(combos)
+            for _ in range(12):
+                q = [rng.choice((0, rng.randrange(p))) for _ in range(n + 1)]
+                dirs = [[rng.randrange(p) for _ in range(n + 1)]
+                        for _ in range(rng.randrange(n + 2))]
+                vals, ders = spec.push(q, dirs, p)
+                assert vals == push_point_oracle(combos, q, p)
+                assert ders == [push_dir_oracle(combos, q, v, p) for v in dirs]
+
+    def test_chart_is_pulled_back_monomials(self, ctxs):
+        child = scroll([1, 2])
+        cmap, kind = child.chart(ctxs[0])
+        vmap, vkind = veronese(child, 3).chart(ctxs[0])
+        nq = len(cmap.coords)
+        assert vkind == kind and vmap.nvars == cmap.nvars
+        assert vmap.coords == [cmap.pull_back(MPoly.monomial(nq, e))
+                               for e in monomial_exponents(nq, 3)]
 
 
 class TestCombinatorDimensions:
