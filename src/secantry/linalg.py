@@ -9,12 +9,12 @@ the maximum observed value across primes and trials is the accepted one.
 
 Field elements are plain ints in [0, p); a matrix is a list of rows.
 
-RowReducer eliminates a row wider than PACK_MIN_WIDTH as one packed int:
-column i in bits [i*s, (i+1)*s), slots starting in [0, p), one pivot step
-`r += (p - c) * pivot`, one reduction mod p at the end.  A step adds under
-p**2 to a slot, in at most `width` steps, so slots stay below width*p**2 + p
-< 2**s and never carry for s >= 2*p.bit_length() + width.bit_length() + 1.
-Narrower rows meet few nonzero pivot coefficients; lists are faster there.
+RowReducer reduces lazily: a pivot step reads one coefficient c mod p, adds
+`(p - c) * pivot` unreduced, and the row is reduced once, at the end.  A step
+adds under p**2 to an entry, in at most `width` steps.  A row wider than
+PACK_MIN_WIDTH is one packed int, column i in bits [i*s, (i+1)*s) and slots
+from [0, p), so slots stay below width*p**2 + p < 2**s and never carry for
+s >= 2*p.bit_length() + width.bit_length() + 1.  Narrower rows stay lists.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import mul
 
 # Witnesses making Miller-Rabin deterministic for all n < 3.3 * 10**24,
 # far beyond the 64-bit range used here.
@@ -134,19 +135,19 @@ class RowReducer:
             if n > PACK_MIN_WIDTH:  # slot bits, rounded up to bytes (module docstring)
                 self._nbytes = -(-(2 * self.p.bit_length() + n.bit_length() + 1) // 8)
         p, nbytes = self.p, self._nbytes
-        r = [a % p for a in row]
         if not nbytes:
+            r = row
             for col, prow in self.pivots.items():
-                c = r[col]
+                c = r[col] % p
                 if c:
-                    r = [(a - c * b) % p for a, b in zip(r, prow)]
-            return r
-        packed, mask = self._pack(r), (1 << 8 * nbytes) - 1
+                    r = [a + (p - c) * b for a, b in zip(r, prow)]
+            return [a % p for a in r]
+        packed, mask = self._pack([a % p for a in row]), (1 << 8 * nbytes) - 1
         for shift, prow in self._packed:
             c = (packed >> shift & mask) % p
             if c:
                 packed += (p - c) * prow
-        raw = packed.to_bytes(nbytes * len(r), "little")
+        raw = packed.to_bytes(nbytes * len(row), "little")
         return [int.from_bytes(raw[i:i + nbytes], "little") % p
                 for i in range(0, len(raw), nbytes)]
 
@@ -207,10 +208,33 @@ def kernel_basis(mat: list[list[int]], p: int) -> list[list[int]]:
             for f in range(ncols) if f not in rref]
 
 
+def kernel_columns(kmap: list[list[int]]) -> tuple[list[int], list[tuple[int, list[int]]]]:
+    """A `kernel_basis` matrix K as (free columns, [(pivot column c, column c of K)]).
+
+    Row i of K is 1 at its free column f_i, 0 at every other free column and
+    nonzero only at pivot columns left of f_i, so f_i is its last nonzero and
+    (K . y)_i = y[f_i] + sum of K[i][c] * y[c] over the nonzero pivot columns.
+    """
+    free = [max(j for j, a in enumerate(row) if a) for row in kmap]
+    return free, [(c, list(col)) for c, col in enumerate(zip(*kmap)) if c not in free and any(col)]
+
+
+def kernel_apply(form: tuple, ys: list, p: int) -> list:
+    """K . ys mod p for K in `kernel_columns` form; ys is a vector, or a list
+    of rows (output row i then combines the rows by row i of K)."""
+    free, cols = form
+    out = [ys[f] for f in free]
+    if isinstance(ys[0], int):
+        for c, col in cols:
+            y = ys[c]
+            if y:
+                out = [a + k * y for a, k in zip(out, col)]
+        return [a % p for a in out]
+    for c, col in cols:
+        y = ys[c]
+        out = [[a + k * b for a, b in zip(o, y)] if k else o for o, k in zip(out, col)]
+    return [[a % p for a in o] for o in out]
+
+
 def mat_vec(mat: list[list[int]], vec: list[int], p: int) -> list[int]:
-    return [sum(a * b for a, b in zip(row, vec)) % p for row in mat]
-
-
-def apply_map(rows: list[list[int]], kmap: list[list[int]], p: int) -> list[list[int]]:
-    """Apply the linear map with matrix `kmap` (rows = output coords) to each row."""
-    return [mat_vec(kmap, row, p) for row in rows]
+    return [sum(map(mul, row, vec)) % p for row in mat]

@@ -181,9 +181,8 @@ def _tangential_once(spec: VarietySpec, k: int, ctx: PrimeContext,
     if len(center) >= spec.ambient + 1:
         raise ValueError("tangent span fills the ambient space; nothing to project")
     proj = ProjectFrom(spec, center, bound_p=ctx.p)  # dim: set once measured
-    kmap = proj.kernel_map(ctx)
-    fresh = spec.sample(ctx, rng)
-    image_rows = linalg.apply_map(fresh.frame, kmap, ctx.p)
+    form = proj.kernel_form(ctx)
+    image_rows = [linalg.kernel_apply(form, row, ctx.p) for row in spec.sample(ctx, rng).frame]
     proj.dim = linalg.rank(image_rows, ctx.p) - 1
     if proj.dim < 0:
         raise ValueError("tangent span fills the span of the variety; "

@@ -90,7 +90,7 @@ def _pick_root(g: MPoly, values: list[int], j: int, p: int, rng: random.Random) 
 
 def _section(rows: list[list[int]], pairing: list[int], p: int) -> list[list[int]]:
     """The combinations c . rows whose coefficients c are orthogonal to `pairing`."""
-    return linalg.apply_map(linalg.kernel_basis([pairing], p), list(zip(*rows)), p)
+    return linalg.kernel_apply(linalg.kernel_columns(linalg.kernel_basis([pairing], p)), rows, p)
 
 
 class PointFrame(NamedTuple):
@@ -338,6 +338,7 @@ class ProjectFrom(VarietySpec):
         self.degree = degree
         self.bound_p = bound_p
         self._kmaps: dict[int, list[list[int]]] = {}
+        self._kforms: dict[int, tuple] = {}
 
     def kernel_map(self, ctx: PrimeContext) -> list[list[int]]:
         if self.bound_p is not None and ctx.p != self.bound_p:
@@ -350,14 +351,20 @@ class ProjectFrom(VarietySpec):
             self._kmaps[ctx.p] = kmap
         return kmap
 
+    def kernel_form(self, ctx: PrimeContext) -> tuple:
+        """`kernel_map(ctx)` in `linalg.kernel_columns` form, cached per prime."""
+        if ctx.p not in self._kforms:
+            self._kforms[ctx.p] = linalg.kernel_columns(self.kernel_map(ctx))
+        return self._kforms[ctx.p]
+
     def _sample_once(self, ctx, rng):
         p = ctx.p
-        kmap = self.kernel_map(ctx)
+        form = self.kernel_form(ctx)
         pf = self.child.sample(ctx, rng)
-        point = linalg.mat_vec(kmap, pf.point, p)
+        point = linalg.kernel_apply(form, pf.point, p)
         if not any(point):
             raise _Resample("center")
-        rows = linalg.apply_map(pf.frame, kmap, p)
+        rows = [linalg.kernel_apply(form, row, p) for row in pf.frame]
         return _framed(self, point, rows, p)
 
     def chart(self, ctx):

@@ -70,6 +70,11 @@ COMMANDS = {
     "verify-EX_TERRACINI_13-k4": ["catalog", "verify", "--family", "EX_TERRACINI_13",
                                   "--k", "4"],
     "verify-F4-k4": ["catalog", "verify", "--family", "F4", "--k", "4"],
+    # A sampled ProjectFrom whose center has two rows: F13's `line`
+    # variant projects a 2-uple from a line, so its kernel map has two
+    # pivot columns (the entries above sample projections from a point).
+    "verify-F13-k3-line": ["catalog", "verify", "--family", "F13", "--k", "3",
+                           "--variant", "line"],
 }
 
 

@@ -8,8 +8,10 @@ import pytest
 import sympy
 
 from secantry.linalg import (PACK_MIN_WIDTH, PrimeContext, RowReducer,
-                             derive_rng, is_prime_u64, kernel_basis,
-                             make_contexts, random_prime, rank, row_basis)
+                             derive_rng, is_prime_u64, kernel_apply, kernel_basis,
+                             kernel_columns, make_contexts, mat_vec, random_prime,
+                             rank, row_basis)
+from secantry.variety import _section
 
 from seeds import SEED
 
@@ -302,7 +304,8 @@ class TestRaggedRows:
 
 
 class ListReducer:
-    """Oracle: the plain list elimination, pivots keyed by column in insertion order."""
+    """Oracle: the eager list elimination, every entry reduced mod p at every
+    pivot step; pivots keyed by column in insertion order."""
 
     def __init__(self, p):
         self.p = p
@@ -339,40 +342,125 @@ def packed_path_rows(rng, p, width, nrows):
     return rows
 
 
+PRIMES = [2, 3, 101, 2**61 - 1, 3612720013493706217]
+
+
+def check_against_list_oracle(p, width, label):
+    """RowReducer and ListReducer agree on add, pivots, residual and contains."""
+    rng = derive_rng(SEED, label, p, width)
+    red, oracle = RowReducer(p), ListReducer(p)
+    for row in packed_path_rows(rng, p, width, nrows=8):
+        assert red.add(row) == oracle.add(row)
+    assert list(red.pivots.items()) == list(oracle.pivots.items())
+    assert bool(red._packed) == (width > PACK_MIN_WIDTH)
+    for probe in packed_path_rows(rng, p, width, nrows=2):
+        assert red.residual(probe) == oracle.residual(probe)
+        assert red.contains(probe) == (not any(oracle.residual(probe)))
+    coeffs = [rng.randrange(p) for _ in red.pivots]
+    inside = [sum(c * a for c, a in zip(coeffs, col)) for col in zip(*red.pivots.values())]
+    assert red.contains(inside)
+
+
+def check_worst_case_growth(width, full_rank):
+    """Upper unitriangular pivots with p - 1 in every entry right of the
+    pivot, and a probe whose coefficient is 1 at every pivot step: each step
+    adds (p - 1) * (p - 1) to every later entry, the largest increment, and
+    the last entry takes width - 1 of them."""
+    p = 3612720013493706217
+    pivots = [[0] * i + [1] + [p - 1] * (width - i - 1) for i in range(width)]
+    if not full_rank:
+        pivots.pop()
+    red, oracle = RowReducer(p), ListReducer(p)
+    for row in pivots:
+        assert red.add(row) and oracle.add(row)
+    probe = [(1 - j) % p for j in range(width)]
+    assert red.residual(probe) == oracle.residual(probe)
+    assert any(oracle.residual(probe)) != full_rank
+    assert red.contains(probe) == full_rank
+
+
 class TestPackedElimination:
-    PRIMES = [2, 3, 101, 2**61 - 1, 3612720013493706217]
     WIDTHS = [PACK_MIN_WIDTH, PACK_MIN_WIDTH + 1, 120, 330]
 
     @pytest.mark.parametrize("width", WIDTHS)
     @pytest.mark.parametrize("p", PRIMES)
     def test_matches_list_oracle(self, p, width):
-        rng = derive_rng(SEED, "packed-oracle", p, width)
-        red, oracle = RowReducer(p), ListReducer(p)
-        for row in packed_path_rows(rng, p, width, nrows=8):
-            assert red.add(row) == oracle.add(row)
-        assert list(red.pivots.items()) == list(oracle.pivots.items())
-        assert bool(red._packed) == (width > PACK_MIN_WIDTH)
-        for probe in packed_path_rows(rng, p, width, nrows=2):
-            assert red.residual(probe) == oracle.residual(probe)
-            assert red.contains(probe) == (not any(oracle.residual(probe)))
-        coeffs = [rng.randrange(p) for _ in red.pivots]
-        inside = [sum(c * a for c, a in zip(coeffs, col)) for col in zip(*red.pivots.values())]
-        assert red.contains(inside)
+        check_against_list_oracle(p, width, "packed-oracle")
 
     @pytest.mark.parametrize("full_rank", [True, False])
     def test_worst_case_slot_growth(self, full_rank):
-        # Upper unitriangular pivots with p - 1 in every entry right of the
-        # pivot, and a probe whose coefficient is 1 at every pivot step: each
-        # step adds (p - 1) * (p - 1) to every later slot, the largest
-        # increment, and the last slot takes width - 1 of them.
-        p, width = 3612720013493706217, 330
-        pivots = [[0] * i + [1] + [p - 1] * (width - i - 1) for i in range(width)]
-        if not full_rank:
-            pivots.pop()
-        red, oracle = RowReducer(p), ListReducer(p)
-        for row in pivots:
-            assert red.add(row) and oracle.add(row)
-        probe = [(1 - j) % p for j in range(width)]
-        assert red.residual(probe) == oracle.residual(probe)
-        assert any(oracle.residual(probe)) != full_rank
-        assert red.contains(probe) == full_rank
+        check_worst_case_growth(330, full_rank)
+
+
+class TestLazyListElimination:
+    """Rows of at most PACK_MIN_WIDTH columns are reduced once, at the end;
+    the eager loop, which reduces at every step, is the oracle."""
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 20, PACK_MIN_WIDTH])
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_matches_eager_oracle(self, p, width):
+        check_against_list_oracle(p, width, "lazy-oracle")
+
+    @pytest.mark.parametrize("full_rank", [True, False])
+    def test_worst_case_growth(self, full_rank):
+        check_worst_case_growth(PACK_MIN_WIDTH, full_rank)
+
+
+def dense_mat_vec(mat, vec, p):
+    """Oracle: one dot product per output coordinate."""
+    return [sum(a * b for a, b in zip(row, vec)) % p for row in mat]
+
+
+def dense_apply_map(rows, kmap, p):
+    """Oracle: the map with matrix `kmap` applied to each row, densely."""
+    return [dense_mat_vec(kmap, row, p) for row in rows]
+
+
+def random_center_matrix(rng, p, width):
+    """m rows for a random 1 <= m < width: dense, rank-deficient, or with
+    zero columns, so kernels have free, zero and nonzero pivot columns."""
+    m = rng.randrange(1, width)
+    kind = rng.choice(("dense", "low", "zero-cols"))
+    if kind == "low":
+        basis = [[rng.randrange(p) for _ in range(width)] for _ in range(rng.randrange(1, m + 1))]
+        return [[sum(rng.randrange(p) * b[i] for b in basis) % p for i in range(width)]
+                for _ in range(m)]
+    zero = set(rng.sample(range(width), rng.randrange(width))) if kind == "zero-cols" else ()
+    return [[0 if i in zero else rng.randrange(p) for i in range(width)] for _ in range(m)]
+
+
+class TestKernelColumns:
+    """A kernel map applied through its columns equals the dense product."""
+
+    @pytest.mark.parametrize("p", [2, 3, 101, 3612720013493706217])
+    def test_matches_dense_products(self, p):
+        rng = derive_rng(SEED, "kernel-columns", p)
+        for width in range(2, 41):
+            for _ in range(3):
+                kmap = kernel_basis(random_center_matrix(rng, p, width), p)
+                form = kernel_columns(kmap)
+                assert [row[f] for row, f in zip(kmap, form[0])] == [1] * len(kmap)
+                vec = [rng.randrange(p) for _ in range(width)]
+                frame = [[rng.randrange(-p, 2 * p) for _ in range(width)]
+                         for _ in range(rng.randrange(1, 5))]
+                assert kernel_apply(form, vec, p) == dense_mat_vec(kmap, vec, p)
+                assert mat_vec(kmap, vec, p) == dense_mat_vec(kmap, vec, p)
+                assert [kernel_apply(form, row, p) for row in frame] == \
+                    dense_apply_map(frame, kmap, p)
+                # Applied to rows, output row i combines the rows by kmap[i].
+                rows = [[rng.randrange(-p, 2 * p) for _ in range(7)] for _ in range(width)]
+                assert kernel_apply(form, rows, p) == dense_apply_map(kmap, list(zip(*rows)), p)
+
+    @pytest.mark.parametrize("p", [2, 101, 3612720013493706217])
+    def test_section_edge_cases(self, p):
+        rng = derive_rng(SEED, "section", p)
+        rows = [[rng.randrange(p) for _ in range(6)] for _ in range(4)]
+        # One column paired with a nonzero value: the kernel is empty.
+        assert kernel_basis([[5]], p) == [] and _section(rows[:1], [5], p) == []
+        # An all-zero pairing: the kernel is the identity, rows come back mod p.
+        wide = [[a + p for a in row] for row in rows]
+        assert _section(wide, [0] * 4, p) == rows
+        # A generic pairing, against the dense product it replaced.
+        pairing = [rng.randrange(1, p) for _ in range(4)]
+        kmap = kernel_basis([pairing], p)
+        assert _section(rows, pairing, p) == dense_apply_map(kmap, list(zip(*rows)), p)
