@@ -77,7 +77,7 @@ def _measure(spec: VarietySpec, k: int, k_max: int, seed: int, trials: int) -> d
         n_k = m_k = None
     # The scan already measured the span: h1 = dim<X> + 1.
     return _report(spec, scan, k, seed, n_k, m_k, contact_shape=shape.classification,
-                   h1=top.r + 1, h2=hilbert.hilbert2(spec, ctxs, rng, points=scan.points))
+                   h1=top.r + 1, h2=hilbert.hilbert2(spec, ctxs, rng, points=scan.top.points))
 
 
 def cmd_analyze(args) -> int:

@@ -41,7 +41,7 @@ def hilbert2(spec: VarietySpec, ctxs: list[PrimeContext], rng: random.Random,
              points: dict[int, list[list[int]]] | None = None) -> int:
     """h_X(2) = h_{v2(X)}(1) of an irreducible X: the rank of v2 at points of X.
 
-    Per prime p, reads `points[p]` (points of X, such as `ScanResult.points`)
+    Per prime p, reads `points[p]` (points of X, such as `SecantReport.points`)
     first, then fresh samples, until the rank is full, STALL points in a row
     add no rank, or C(R+2, 2) + STALL points (R+1 coordinates) were read;
     the maximum across primes is reported.

@@ -14,7 +14,7 @@ primes, with an `agreement` flag recording whether all runs concurred.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import linalg
 from .linalg import PrimeContext, RowReducer
@@ -46,23 +46,23 @@ class SecantReport:
     trials: int
     primes: list[int]
     agreement: bool
-    points: dict[int, list[list[int]]] = field(default_factory=dict, repr=False, compare=False)
+    # Each prime's chain points, keyed by p; None on a report read off another's chain.
+    points: dict[int, list[list[int]]] | None = field(default=None, repr=False, compare=False)
 
 
-def _report(k: int, r: int, n: int, chain: list[int], trials: int,
-            primes: list[int], agreement: bool) -> SecantReport:
+def _report(k: int, r: int, n: int, chain: list[int], trials: int, primes: list[int],
+            agreement: bool, points: dict | None = None) -> SecantReport:
     """The order-k report read off a measured chain s^(0), ..., s^(>=k)."""
     sigma_k = expected_secant_dim(r, n, k)
     return SecantReport(k=k, r=r, n=n, chain=chain[:k + 1], sigma_k=sigma_k,
                         delta_k=sigma_k - chain[k], trials=trials, primes=primes,
-                        agreement=agreement)
+                        agreement=agreement, points=points)
 
 
 @dataclass
 class ScanResult:
     first_defective: int | None
-    reports: list[SecantReport]
-    points: dict[int, list[list[int]]]  # each prime's chain points, keyed by p
+    reports: list[SecantReport]  # reports[-1] is the measured one, holding the points
 
     @property
     def top(self) -> SecantReport:
@@ -140,8 +140,7 @@ def secant_dim(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
     r = max(spans) - 1
     chain = [max(c[h] for c in chains) for h in range(k + 1)]
     agreement = all(c == chain for c in chains) and all(s - 1 == r for s in spans)
-    return replace(_report(k, r, spec.dim, chain, trials, [c.p for c in ctxs], agreement),
-                   points=points)
+    return _report(k, r, spec.dim, chain, trials, [c.p for c in ctxs], agreement, points)
 
 
 def defect(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
@@ -161,10 +160,10 @@ def min_defective_scan(spec: VarietySpec, k_max: int, ctxs: list[PrimeContext],
         raise ValueError("need k_max >= 1")
     full = secant_dim(spec, k_max, ctxs, rng, trials)
     reports = [_report(h, full.r, full.n, full.chain, trials, full.primes, full.agreement)
-               for h in range(k_max + 1)]
+               for h in range(k_max)] + [full]
     first = next((h for h in range(1, k_max + 1)
                   if reports[h].delta_k > 0 and full.chain[h] < full.r), None)
-    return ScanResult(first_defective=first, reports=reports, points=full.points)
+    return ScanResult(first_defective=first, reports=reports)
 
 
 def _tangential_once(spec: VarietySpec, k: int, ctx: PrimeContext,
@@ -178,8 +177,6 @@ def _tangential_once(spec: VarietySpec, k: int, ctx: PrimeContext,
     for _ in range(k):
         rows.extend(spec.sample(ctx, rng).frame)
     center = linalg.row_basis(rows, ctx.p)
-    if len(center) >= spec.ambient + 1:
-        raise ValueError("tangent span fills the ambient space; nothing to project")
     proj = ProjectFrom(spec, center, bound_p=ctx.p)  # dim: set once measured
     form = proj.kernel_form(ctx)
     image_rows = [linalg.kernel_apply(form, row, ctx.p) for row in spec.sample(ctx, rng).frame]
@@ -232,27 +229,21 @@ def _gauss_fiber_once(spec: VarietySpec, cmap, first, ctx: PrimeContext,
     p = ctx.p
     c = cmap.nvars
     n = spec.dim
-    ncoords = len(cmap.coords)
     for _ in range(linalg.SAMPLE_RETRIES):
         t = [rng.randrange(p) for _ in range(c)]
         value, d1 = cmap.partial_rows(t, p)
         tangent = linalg.fold([value] + d1, p)
         if tangent.rank != n + 1:
             continue
-        # Row i=0 is the chart value, rows i>=1 are first partials; their
-        # j-derivatives are the first and second partials respectively.
+        # The frame holds the value and its first partials d1.  The value's
+        # j-derivatives are d1 again, zero mod the frame, so only the
+        # j-derivatives of d1, the second partials, constrain v.
         constraints = []  # rows of the linear system on directions v
-        for i in range(c + 1):
-            if i == 0:
-                derivs = d1
-            else:
-                grads = [first[ci][i - 1].grad_eval(t, p)[1] for ci in range(ncoords)]
-                derivs = [[g[j] for g in grads] for j in range(c)]
+        for i in range(c):
+            grads = [partials[i].grad_eval(t, p)[1] for partials in first]
+            derivs = [[g[j] for g in grads] for j in range(c)]
             residuals = [tangent.residual(deriv) for deriv in derivs]
-            for coord in range(ncoords):
-                row = [residuals[j][coord] for j in range(c)]
-                if any(row):
-                    constraints.append(row)
+            constraints += [list(row) for row in zip(*residuals) if any(row)]  # one per coordinate
         # Kernel dimension c - rank, less the chart's c - n fiber directions.
         return n - linalg.rank(constraints, p)
     raise ValueError("could not find a generic chart point for the Gauss map")

@@ -8,9 +8,13 @@ node's `_sample_once` raises `_Resample(cause)` on a degenerate draw.
 
 Frames are eliminated once: `_framed` takes a row basis and checks its
 size (`frame_rank`) where rows can be dependent (Parametric, SegrePair,
-ProjectFrom, RestrictedChart, ConeSection).  The others build a basis.
+ProjectFrom, RestrictedChart).  The others build a basis.
 Hypersurface: the kernel of one nonzero gradient row.  ConeOver: the
 child's padded frame plus the vertex's unit rows (block-triangular).
+ConeSection: the combinations of the child's padded frame and the ruling
+row (dim+2 independent rows, the ruling alone reaching the new coordinate)
+that the gradient pairs to zero, exactly dim+1 independent ones unless that
+pairing is zero (`frame_rank`).
 JoinLinear: 0 (+) M.q and a*f (+) b*M.f per child frame row f, which span
 the point and are independent as a != 0 and M.q != 0.  Veronese: the
 child's point and frame carried up rungs (a degree-k monomial is a
@@ -44,6 +48,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import random
 import re
 from collections.abc import Sequence
@@ -77,15 +82,22 @@ class _Resample(Exception):
         self.cause = cause
 
 
-def _pick_root(g: MPoly, values: list[int], j: int, p: int, rng: random.Random) -> list[int]:
-    """`values` with slot j set to a uniformly drawn root of g restricted to that slot."""
+def _pick_root(g: MPoly, values: list[int], j: int, p: int,
+               rng: random.Random) -> tuple[list[int], list[int]]:
+    """`values` with slot j set to a uniformly drawn root of g restricted to that
+    slot, and the gradient of g there."""
     f = g.to_univariate(values[:j] + [None] + values[j + 1:], p)
     if not f:
         raise _Resample("zero_restriction")
     rts = uniroots.roots(f, p, rng)
     if not rts:
         raise _Resample("no_root")
-    return values[:j] + [rts[rng.randrange(len(rts))]] + values[j + 1:]
+    point = values[:j] + [rts[rng.randrange(len(rts))]] + values[j + 1:]
+    value, grad = g.grad_eval(point, p)
+    if value:
+        # A wrong root is a bug, not bad luck: never resample it away.
+        raise ArithmeticError("sampled point does not satisfy the equation")
+    return point, grad
 
 
 def _section(rows: list[list[int]], pairing: list[int], p: int) -> list[list[int]]:
@@ -337,18 +349,15 @@ class ProjectFrom(VarietySpec):
         self.ambient = child.ambient - len(center)
         self.degree = degree
         self.bound_p = bound_p
-        self._kmaps: dict[int, list[list[int]]] = {}
         self._kforms: dict[int, tuple] = {}
 
     def kernel_map(self, ctx: PrimeContext) -> list[list[int]]:
+        """The projection matrix mod ctx's prime: a kernel basis of the center, uncached."""
         if self.bound_p is not None and ctx.p != self.bound_p:
             raise ValueError("this projection is bound to a different prime")
-        kmap = self._kmaps.get(ctx.p)
-        if kmap is None:
-            kmap = linalg.kernel_basis(self.center, ctx.p)
-            if len(kmap) != self.ambient + 1:
-                raise ValueError("projection center rows are dependent mod p")
-            self._kmaps[ctx.p] = kmap
+        kmap = linalg.kernel_basis(self.center, ctx.p)
+        if len(kmap) != self.ambient + 1:
+            raise ValueError("projection center rows are dependent mod p")
         return kmap
 
     def kernel_form(self, ctx: PrimeContext) -> tuple:
@@ -405,13 +414,10 @@ class Hypersurface(VarietySpec):
     def _sample_once(self, ctx, rng):
         p = ctx.p
         j = rng.randrange(self.m + 1)
-        point = _pick_root(self.g, [rng.randrange(p) for _ in range(self.m + 1)], j, p, rng)
+        point, grad = _pick_root(self.g, [rng.randrange(p) for _ in range(self.m + 1)],
+                                 j, p, rng)
         if not any(point):
             raise _Resample("zero_point")
-        value, grad = self.g.grad_eval(point, p)
-        if value:
-            # A wrong root is a bug, not bad luck: never resample it away.
-            raise ArithmeticError("sampled point does not satisfy the equation")
         if not any(grad):
             raise _Resample("singular_point")
         return PointFrame(point, linalg.kernel_basis([grad], p))
@@ -446,13 +452,12 @@ class RestrictedChart(VarietySpec):
 
     def _sample_once(self, ctx, rng):
         p = ctx.p
-        t = _pick_root(self.pullback, [rng.randrange(p) for _ in range(self.chart_map.nvars)],
-                       self.solve_var, p, rng)
+        t, w = _pick_root(self.pullback, [rng.randrange(p) for _ in range(self.chart_map.nvars)],
+                          self.solve_var, p, rng)
         point, partials = self.chart_map.partial_rows(t, p)
         if not any(point):
             raise _Resample("zero_point")
-        # Tangent directions in parameter space: the kernel of d(g o chart).
-        _, w = self.pullback.grad_eval(t, p)
+        # Tangent directions in parameter space: the kernel of w = d(g o chart).
         if not any(w):
             raise _Resample("singular_point")
         return _framed(self, point, [point] + _section(partials, w, p), p)
@@ -490,16 +495,17 @@ class ConeSection(VarietySpec):
     def _sample_once(self, ctx, rng):
         p = ctx.p
         pf = self.child.sample(ctx, rng)
-        point = _pick_root(self.g, pf.point + [0], self.ambient, p, rng)
-        _, grad = self.g.grad_eval(point, p)
+        point, grad = _pick_root(self.g, pf.point + [0], self.ambient, p, rng)
         if not any(grad):
             raise _Resample("singular_point")
         ruling = [0] * (self.ambient + 1)
         ruling[-1] = 1
         big = [row + [0] for row in pf.frame] + [ruling]
         # The tangent space is span(big) cut by the gradient hyperplane.
-        rows = _section(big, linalg.mat_vec(big, grad, p), p)
-        return _framed(self, point, rows, p)
+        pairing = linalg.mat_vec(big, grad, p)
+        if not any(pairing):
+            raise _Resample("frame_rank")
+        return PointFrame(point, _section(big, pairing, p))
 
     def to_obj(self):
         return {"op": "cone_section", "equation": poly_str(self.g),
@@ -781,6 +787,20 @@ class SpecParseError(ValueError):
     pass
 
 
+# The largest ambient dimension R a loaded node may have.  hilbert2 reduces
+# rows of C(R+2, 2) quadric columns, at most 2**13 for R <= 126; the cap
+# admits v4(P^5), R = 125, the widest variety the tests measure (the
+# catalog's widest node has R = 48).
+MAX_AMBIENT = 126
+
+
+def _ambient(r: int) -> int:
+    """`r` if it is at most MAX_AMBIENT, else SpecParseError."""
+    if r > MAX_AMBIENT:
+        raise SpecParseError(f"ambient dimension {r} exceeds {MAX_AMBIENT}")
+    return r
+
+
 def _json_int(value: object, low: int | None = None, optional: bool = False) -> int | None:
     """`value` if it is a JSON integer (not a bool) >= `low`, or None if optional; else ValueError."""
     if optional and value is None:
@@ -793,6 +813,14 @@ def _json_int(value: object, low: int | None = None, optional: bool = False) -> 
 
 
 def spec_from_obj(obj: dict) -> VarietySpec:
+    """The tree `obj` describes; SpecParseError on a node whose ambient dimension
+    exceeds MAX_AMBIENT (checked before building a node that allocates by it)."""
+    spec = _node_from_obj(obj)
+    _ambient(spec.ambient)
+    return spec
+
+
+def _node_from_obj(obj: dict) -> VarietySpec:
     if not isinstance(obj, dict) or "op" not in obj:
         raise SpecParseError("spec node must be an object with an 'op' field")
     op = obj["op"]
@@ -806,9 +834,13 @@ def spec_from_obj(obj: dict) -> VarietySpec:
             return Parametric(PolyMap(nv, coords), scaled=scaled,
                               degree=_json_int(obj.get("degree"), 1, optional=True))
         if op == "scroll":
-            return scroll([_json_int(a, 0) for a in obj["degrees"]])
+            degrees = [_json_int(a, 0) for a in obj["degrees"]]
+            _ambient(sum(degrees) + len(degrees) - 1)
+            return scroll(degrees)
         if op == "veronese":
-            return Veronese(spec_from_obj(obj["child"]), _json_int(obj["d"]))
+            child, d = spec_from_obj(obj["child"]), _json_int(obj["d"], 1)
+            _ambient(math.comb(child.ambient + d, d) - 1)
+            return Veronese(child, d)
         if op == "segre":
             return SegrePair(spec_from_obj(obj["left"]), spec_from_obj(obj["right"]))
         if op == "cone":
@@ -823,7 +855,7 @@ def spec_from_obj(obj: dict) -> VarietySpec:
                 raise ValueError("center rows are linearly dependent")
             return proj
         if op == "hypersurface":
-            m = _json_int(obj["m"], 1)
+            m = _ambient(_json_int(obj["m"], 1))
             return Hypersurface(m, parse_poly(obj["equation"], m + 1))
         if op == "on_quadric":
             return on_quadric(parse_poly(obj["equation"], 6))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -195,6 +196,29 @@ class TestAnalyze:
                                "--k", "1"], env=env, capture_output=True, text=True, timeout=20)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+    # A node's ambient dimension is capped at variety.MAX_AMBIENT before the
+    # node allocates by it: a scroll's coordinates, a Veronese's rungs, a
+    # cone's vertex, a hypersurface's variables.  Uncapped, each of these ran
+    # past an 8 s timeout, so they run in a subprocess that the timeout
+    # stops, under a 1 GiB address-space limit.
+    @pytest.mark.parametrize("spec", [
+        '{"op":"scroll","degrees":[10000000]}',
+        '{"op":"veronese","d":60,"child":{"op":"scroll","degrees":[1,1,1]}}',
+        '{"op":"cone","vertex_dim":100000000,"child":{"op":"scroll","degrees":[3]}}',
+        '{"op":"hypersurface","m":3000000,"equation":"x0"}',
+    ], ids=["scroll", "veronese-rungs", "cone-vertex", "hypersurface-m"])
+    def test_ambient_is_capped(self, spec, tmp_path):
+        path = tmp_path / "wide.variety.json"
+        path.write_text(spec)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-m", "secantry.cli", "analyze", str(path),
+                               "--k", "1"], env=env, capture_output=True, text=True, timeout=5,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                                    (1 << 30, 1 << 30)))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "ambient dimension" in proc.stderr
 
 
 class TestCatalogCommands:

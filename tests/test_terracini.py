@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from secantry import terracini, uniroots
+from secantry import linalg, terracini, uniroots
 from secantry.catalog import build_family
 from secantry.linalg import RowReducer, derive_rng, make_contexts
 from secantry.terracini import (contact_shape, defect, expected_secant_dim,
@@ -14,11 +15,14 @@ from secantry.terracini import (contact_shape, defect, expected_secant_dim,
                                 secant_dim, tangential_projection)
 from secantry.mpoly import parse_poly
 from secantry.variety import (NotParametric, VarietySpec, cone_over,
-                              hypersurface, join_linear, projective_space,
-                              random_center, rational_normal_curve, scroll,
-                              segre_pair, span_dim, veronese)
+                              hypersurface, join_linear, loads_spec, on_quadric,
+                              projective_space, random_center,
+                              random_cone_section, rational_normal_curve,
+                              scroll, segre_pair, span_dim, veronese)
 
 from seeds import SEED
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestSecantDim:
@@ -105,19 +109,22 @@ class TestSpanReuse:
 
     def test_wrong_root_surfaces(self, ctxs, rng, monkeypatch):
         # A top-up draw that yields a non-root raises instead of being
-        # resampled, as a chain draw does.
-        spec = hypersurface(2, parse_poly("x0^2 + x1^2 - x2^2", 3))
-        point = spec.sample(ctxs[0], rng).point
+        # resampled, as a chain draw does, at every root-solving node.
+        specs = [hypersurface(2, parse_poly("x0^2 + x1^2 - x2^2", 3)),
+                 on_quadric(parse_poly("x0^3 + x1^3 - x2^3 + x3*x4*x5", 6)),
+                 random_cone_section(veronese(projective_space(2), 2), 2, rng)]
+        points = [spec.sample(ctxs[0], rng).point for spec in specs]
 
         def value(f, t, p):
             return sum(c * t ** i for i, c in enumerate(f)) % p
 
         monkeypatch.setattr(uniroots, "roots", lambda f, p, rng: [
             next(t for t in range(len(f)) if value(f, t, p))])
-        with pytest.raises(ArithmeticError, match="does not satisfy"):
-            span_dim(spec, ctxs[0], rng, points=[point])
-        with pytest.raises(ArithmeticError, match="does not satisfy"):
-            secant_dim(spec, 1, ctxs, rng)
+        for spec, point in zip(specs, points):
+            with pytest.raises(ArithmeticError, match="does not satisfy"):
+                span_dim(spec, ctxs[0], rng, points=[point])
+            with pytest.raises(ArithmeticError, match="does not satisfy"):
+                secant_dim(spec, 1, ctxs, rng)
 
 
 class TestDefect:
@@ -262,7 +269,55 @@ class TestConeLaws:
             assert chain_x == [c + v + 1 for c in chain_y]
 
 
+def _gauss_rows_oracle(spec, cmap, first, ctx, rng):
+    """The Gauss map's constraint rows as first built: c + 1 passes, the first
+    over the value row's derivatives d1, which lie in the frame."""
+    p, c, n, ncoords = ctx.p, cmap.nvars, spec.dim, len(cmap.coords)
+    for _ in range(linalg.SAMPLE_RETRIES):
+        t = [rng.randrange(p) for _ in range(c)]
+        value, d1 = cmap.partial_rows(t, p)
+        tangent = linalg.fold([value] + d1, p)
+        if tangent.rank != n + 1:
+            continue
+        constraints = []
+        for i in range(c + 1):
+            if i == 0:
+                derivs = d1
+            else:
+                grads = [first[ci][i - 1].grad_eval(t, p)[1] for ci in range(ncoords)]
+                derivs = [[g[j] for g in grads] for j in range(c)]
+            residuals = [tangent.residual(deriv) for deriv in derivs]
+            for coord in range(ncoords):
+                row = [residuals[j][coord] for j in range(c)]
+                if any(row):
+                    constraints.append(row)
+        return constraints
+    raise AssertionError("no generic chart point")
+
+
 class TestGaussFibers:
+    # The specs whose golden reports read a Gauss fiber, at their order k:
+    # each prime's projection chart gives the same rows without the d1 pass.
+    @pytest.mark.parametrize("path, k", [
+        ("specs/veronese-p3.variety.json", 1),
+        ("tests/specs/family-7-k2.variety.json", 2),
+        ("tests/specs/family-10-k2.variety.json", 2),
+        ("tests/specs/family-11-k2.variety.json", 2),
+        ("tests/specs/ruled-join-s23.variety.json", 1),
+    ])
+    def test_rows_match_the_value_row_pass(self, path, k, ctxs, rng, monkeypatch):
+        spec = loads_spec((ROOT / path).read_text())
+        tan = tangential_projection(spec, k, ctxs, rng)
+        ranked, rank = [], linalg.rank
+        monkeypatch.setattr(linalg, "rank", lambda mat, p: ranked.append(mat) or rank(mat, p))
+        for ctx, proj in tan.projections:
+            cmap, _ = proj.chart(ctx)
+            first = [[co.partial(j) for j in range(cmap.nvars)] for co in cmap.coords]
+            ranked.clear()
+            terracini._gauss_fiber_once(proj, cmap, first, ctx, derive_rng(SEED, path, ctx.p))
+            want = _gauss_rows_oracle(proj, cmap, first, ctx, derive_rng(SEED, path, ctx.p))
+            assert want and ranked == [want]
+
     def test_plane(self, ctxs, rng):
         assert gauss_fiber_dim(projective_space(2), ctxs, rng) == 2
 

@@ -14,9 +14,10 @@ import secantry
 
 from secantry.linalg import PrimeContext, RowReducer, derive_rng, rank, row_basis
 from secantry.mpoly import MPoly, PolyMap, monomial_exponents, parse_poly, random_poly
-from secantry.variety import (CenterContainsVariety, NoRootFound, NotParametric,
-                              ProjectFrom, SpecParseError, center_in_span,
-                              center_on_points, cone_over, dumps_spec,
+from secantry.variety import (MAX_AMBIENT, CenterContainsVariety, NoRootFound,
+                              NotParametric, ProjectFrom, SampleExhausted,
+                              SpecParseError, center_in_span, center_on_points,
+                              cone_over, cone_section, dumps_spec,
                               fibered_join, hypersurface, join_linear,
                               loads_spec, on_quadric, parametric, project_from,
                               projective_space, random_center,
@@ -73,8 +74,9 @@ class TestSamplerContract:
                     assert red.contains(pf.point), name
 
     def test_basis_frames_are_not_eliminated_again(self, ctxs, monkeypatch):
-        # Veronese (p not dividing d), ConeOver and JoinLinear build a basis:
-        # the only row_basis of a sample is the Parametric child's.
+        # Veronese (p not dividing d), ConeOver, JoinLinear and ConeSection
+        # build a basis: the only row_basis of a sample is the Parametric
+        # child's.  The section is linear in w, so its first draw has a root.
         calls = []
 
         def counted(rows, p):
@@ -83,7 +85,8 @@ class TestSamplerContract:
 
         monkeypatch.setattr(secantry.linalg, "row_basis", counted)
         for spec in (veronese(scroll([1, 1, 1]), 2), cone_over(rational_normal_curve(3), 1),
-                     join_linear(scroll([1, 1]), [[1, 2, 3, 4], [5, 6, 7, 8]])):
+                     join_linear(scroll([1, 1]), [[1, 2, 3, 4], [5, 6, 7, 8]]),
+                     cone_section(rational_normal_curve(3), parse_poly("x0*x4 - x1*x2", 5))):
             for s in range(3):
                 calls.clear()
                 spec.sample(ctxs[0], derive_rng(SEED, "basis", repr(spec), s))
@@ -233,6 +236,25 @@ class TestConeSection:
         expected = [pow(t, j, ctxs[0].p) for j in range(4)]
         scale = pf.point[0]
         assert [scale * e % ctxs[0].p for e in expected] == pf.point[:4]
+
+    @pytest.mark.parametrize("p", [2, 3, 101])
+    def test_frame_is_a_basis(self, p):
+        # The child's frame and the ruling, cut by a nonzero pairing with the
+        # gradient, leave dim+1 independent rows, also where p divides d = 2.
+        spec = cone_section(veronese(projective_space(2), 2),
+                            parse_poly("x0*x6 - x1*x2 - x3^2", 7))
+        for s in range(3):
+            pf = spec.sample(PrimeContext(p=p), derive_rng(SEED, "section", p, s))
+            assert len(pf.frame) == rank(pf.frame, p) == spec.dim + 1
+
+    def test_zero_pairing_is_a_frame_rank_resample(self, ctxs, rng):
+        # x0*x3 - x1^2 vanishes on v2(P^2), so w = 0 is a double root, and the
+        # gradient (nonzero, not singular) pairs to zero with the child's frame
+        # and the ruling: the tangent space is not cut, every draw resamples.
+        spec = cone_section(veronese(projective_space(2), 2),
+                            parse_poly("x0*x3 - x1^2 + x6^2", 7))
+        with pytest.raises(SampleExhausted, match="frame_rank"):
+            spec.sample(ctxs[0], rng)
 
 
 class TestVeronese:
@@ -460,6 +482,16 @@ class TestSerialization:
             loads_spec('{"op": "mystery"}')
         with pytest.raises(SpecParseError):
             loads_spec('{"op": "hypersurface", "m": 2}')
+
+    def test_ambient_cap_admits_v4_p5(self):
+        # v4(P^5), the widest variety the tests measure, loads with its hash;
+        # one ambient dimension past the cap does not.
+        spec = veronese(projective_space(5), 4)
+        assert spec.ambient == 125 <= MAX_AMBIENT
+        assert spec_hash(loads_spec(dumps_spec(spec))) == spec_hash(spec)
+        wide = cone_over(projective_space(MAX_AMBIENT), 0)
+        with pytest.raises(SpecParseError, match=f"exceeds {MAX_AMBIENT}"):
+            loads_spec(dumps_spec(wide))
 
     def test_project_center_rows_checked_at_load(self):
         cubic = '"child": {"op": "scroll", "degrees": [3]}'
