@@ -50,6 +50,17 @@ COMMANDS = {
     # stalled rank, 100 of 136).  The Hypersurface sampler solves roots.
     "analyze-cubic-threefold": ["analyze", "tests/specs/cubic-threefold.variety.json",
                                 "--k", "1"],
+    # Surface images (n_k = 2) whose contact shape reads each prime's
+    # projection: F14 is a plain chart, F13 `point` and `line_secant`
+    # project a 2-uple before the tangential projection does, and F1
+    # `line` is a cone section (Indeterminate).
+    "analyze-family-14-k2": ["analyze", "tests/specs/family-14-k2.variety.json", "--k", "2"],
+    "analyze-family-13-k2-point": ["analyze", "tests/specs/family-13-k2-point.variety.json",
+                                   "--k", "2"],
+    "analyze-family-13-k2-line-secant": [
+        "analyze", "tests/specs/family-13-k2-line-secant.variety.json", "--k", "2"],
+    "analyze-family-1-k2-line": ["analyze", "tests/specs/family-1-k2-line.variety.json",
+                                 "--k", "2"],
     # One entry per root-solving sampler: F5 is the catalog's only
     # RestrictedChart, F1 `point` a ConeSection, F8 a Hypersurface.
     "verify-F5-k4": ["catalog", "verify", "--family", "F5", "--k", "4"],
