@@ -310,7 +310,7 @@ def verify_family(entry: CatalogEntry, ctxs, rng: random.Random,
     k = entry.k_eval
     k_max = k + 1 if exp.s_k_plus_1 is not None else k
     scan = min_defective_scan(entry.spec, k_max, ctxs, rng, trials)
-    tan = tangential_projection(entry.spec, k, ctxs, rng)
+    tan = tangential_projection(entry.spec, k, ctxs, rng, report=scan.top)
     mism: list[str] = []
     top = scan.reports[k]
     if top.r != exp.r:

@@ -68,7 +68,7 @@ def _measure(spec: VarietySpec, k: int, k_max: int, seed: int, trials: int) -> d
     scan = terracini.min_defective_scan(spec, k_max, ctxs, rng, trials)
     top = scan.reports[k]
     if k >= 1 and top.chain[k - 1] < top.r:
-        tan = terracini.tangential_projection(spec, k, ctxs, rng)
+        tan = terracini.tangential_projection(spec, k, ctxs, rng, report=scan.top)
         shape = terracini.contact_shape(tan, rng)
         n_k, m_k = tan.n_k, tan.m_k
     else:

@@ -3,7 +3,10 @@
 Terracini's lemma identifies the tangent space of the k-th secant variety
 at a general point with the span of tangent spaces at k+1 general points
 of X.  In the affine-cone model every tangent space is a frame of n+1
-rows, so s^(k) is simply rank(stacked frames of k+1 samples) - 1.
+rows, so s^(k) is simply rank(stacked frames of k+1 samples) - 1.  The image
+of the k-tangential projection has tangent space T_{k+1} mod span(T_1..T_k),
+so its dimension is n_k = s^(k) - s^(k-1) - 1 on a trial whose first k frames
+have full rank s^(k-1) + 1 (Chiantini-Ciliberto, Trans. AMS 354 (2002)).
 
 Randomization over a 62-bit prime field has one-sided error: an unlucky
 point or prime can only lower a rank.  Every dimension is therefore the
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import linalg
 from .linalg import PrimeContext, RowReducer
@@ -26,6 +30,12 @@ DEFAULT_TRIALS = 5
 def expected_secant_dim(r: int, n: int, k: int) -> int:
     """The expected dimension min(r, n(k+1) + k) of the k-th secant variety."""
     return min(r, n * (k + 1) + k)
+
+
+class Trial(NamedTuple):
+    """A chain trial: s^(0..k), and the pivots of its frames in the order reached."""
+    chain: list[int]
+    basis: list[tuple[int, list[int]]]  # (pivot column, pivot row)
 
 
 @dataclass
@@ -46,17 +56,18 @@ class SecantReport:
     trials: int
     primes: list[int]
     agreement: bool
-    # Each prime's chain points, keyed by p; None on a report read off another's chain.
+    # Each prime's chain points and trials, keyed by p; None on a derived report.
     points: dict[int, list[list[int]]] | None = field(default=None, repr=False, compare=False)
+    draws: dict[int, list[Trial]] | None = field(default=None, repr=False, compare=False)
 
 
 def _report(k: int, r: int, n: int, chain: list[int], trials: int, primes: list[int],
-            agreement: bool, points: dict | None = None) -> SecantReport:
+            agreement: bool, points=None, draws=None) -> SecantReport:
     """The order-k report read off a measured chain s^(0), ..., s^(>=k)."""
     sigma_k = expected_secant_dim(r, n, k)
     return SecantReport(k=k, r=r, n=n, chain=chain[:k + 1], sigma_k=sigma_k,
                         delta_k=sigma_k - chain[k], trials=trials, primes=primes,
-                        agreement=agreement, points=points)
+                        agreement=agreement, points=points, draws=draws)
 
 
 @dataclass
@@ -73,9 +84,8 @@ class ScanResult:
 class TangentialReport:
     """Image dimension of a general k-tangential projection.
 
-    `projections` holds each prime's projection (bound to that prime, with
-    that prime's measured n_k as its dimension); `projected_spec` is the
-    one that reached the maximum.
+    `projections` pairs each prime whose trials reached a full-rank center with
+    its projection (bound to it, of dimension its n_k); `projected_spec` is the maximum.
     """
 
     k: int
@@ -102,7 +112,7 @@ class ContactShape:
 
 
 def _chain_once(spec: VarietySpec, k: int, ctx: PrimeContext,
-                rng: random.Random, points: list[list[int]]) -> list[int]:
+                rng: random.Random, points: list[list[int]]) -> Trial:
     """One trial: ranks of stacked frames of 1..k+1 samples, minus 1; appends their points."""
     red = RowReducer(ctx.p)
     chain = []
@@ -112,7 +122,7 @@ def _chain_once(spec: VarietySpec, k: int, ctx: PrimeContext,
         for row in pf.frame:
             red.add(row)
         chain.append(red.rank - 1)
-    return chain
+    return Trial(chain, list(red.pivots.items()))
 
 
 def secant_dim(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
@@ -129,18 +139,16 @@ def secant_dim(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
     """
     if k < 0 or trials < 1:
         raise ValueError("need k >= 0 and trials >= 1")
-    chains = []
-    spans = []
-    points: dict[int, list[list[int]]] = {}
+    spans, points, draws = [], {}, {}  # points and draws as on SecantReport
     for ctx in ctxs:
         drawn = points[ctx.p] = []
-        for _ in range(trials):
-            chains.append(_chain_once(spec, k, ctx, rng, drawn))
+        draws[ctx.p] = [_chain_once(spec, k, ctx, rng, drawn) for _ in range(trials)]
         spans.append(span_dim(spec, ctx, rng, points=drawn))
     r = max(spans) - 1
+    chains = [t.chain for ts in draws.values() for t in ts]
     chain = [max(c[h] for c in chains) for h in range(k + 1)]
     agreement = all(c == chain for c in chains) and all(s - 1 == r for s in spans)
-    return _report(k, r, spec.dim, chain, trials, [c.p for c in ctxs], agreement, points)
+    return _report(k, r, spec.dim, chain, trials, [c.p for c in ctxs], agreement, points, draws)
 
 
 def defect(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
@@ -166,39 +174,31 @@ def min_defective_scan(spec: VarietySpec, k_max: int, ctxs: list[PrimeContext],
     return ScanResult(first_defective=first, reports=reports)
 
 
-def _tangential_once(spec: VarietySpec, k: int, ctx: PrimeContext,
-                     rng: random.Random) -> ProjectFrom:
-    """Project from the span of k sampled tangent frames.
-
-    The projection is bound to ctx's prime and its dimension is the
-    measured image dimension n_k.
-    """
-    rows: list[list[int]] = []
-    for _ in range(k):
-        rows.extend(spec.sample(ctx, rng).frame)
-    center = linalg.row_basis(rows, ctx.p)
-    proj = ProjectFrom(spec, center, bound_p=ctx.p)  # dim: set once measured
-    form = proj.kernel_form(ctx)
-    image_rows = [linalg.kernel_apply(form, row, ctx.p) for row in spec.sample(ctx, rng).frame]
-    proj.dim = linalg.rank(image_rows, ctx.p) - 1
-    if proj.dim < 0:
-        raise ValueError("tangent span fills the span of the variety; "
-                         "nothing to project")
-    return proj
-
-
-def tangential_projection(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
-                          rng: random.Random) -> TangentialReport:
+def tangential_projection(spec: VarietySpec, k: int, ctxs: list[PrimeContext], rng: random.Random,
+                          report: SecantReport | None = None) -> TangentialReport:
     """Measure n_k = dim of the image of a general k-tangential projection.
 
-    One projection is drawn per prime.  The returned projected_spec
-    composes with every other operation but is bound to the prime that
-    reached the maximum, the first one on a tie (its center rows are
-    residues modulo that prime).
+    Reads the trials of `report`, measured to order >= k (default: secant_dim).
+    By Terracini's lemma n_k = chain[k] - s^(k-1) - 1 on a trial whose first k
+    frames reach the accepted s^(k-1) + 1 (Chiantini-Ciliberto, Weakly
+    defective varieties, Trans. AMS 354 (2002)); only such full-rank centers
+    count, so the maximum errs low.  Each prime projects from the first k
+    frames of its best such trial; projected_spec reached the maximum, the
+    first prime's on a tie, and is bound to its prime.
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    projections = [(ctx, _tangential_once(spec, k, ctx, rng)) for ctx in ctxs]
+    report = report or secant_dim(spec, k, ctxs, rng)
+    s = report.chain[k - 1]
+    if s >= report.r:
+        raise ValueError("tangent span fills the span of the variety; nothing to project")
+    projections = []
+    for ctx in ctxs:
+        full = [t for t in report.draws[ctx.p] if t.chain[k - 1] == s]
+        if full:  # the first k frames' row basis: the first s + 1 pivots, column-sorted
+            chain, basis = max(full, key=lambda t: t.chain[k])
+            projections.append((ctx, ProjectFrom(spec, [row for _, row in sorted(basis[:s + 1])],
+                                                 dim=chain[k] - s - 1, bound_p=ctx.p)))
     best = max((proj for _, proj in projections), key=lambda proj: proj.dim)
     return TangentialReport(k=k, n_k=best.dim, m_k=spec.dim - best.dim,
                             projected_spec=best, projections=projections)
@@ -254,8 +254,8 @@ def contact_shape(tan: TangentialReport, rng: random.Random) -> ContactShape:
 
     Curve image => the contact locus is a divisor; surface image => it is a
     divisor iff the image surface is developable (positive-dimensional
-    Gauss fibers, the minimum over each prime's own projection);
-    implicit-backed images cannot be probed and come back Indeterminate.
+    Gauss fibers, the minimum over each prime's own projection that reached
+    n_k); implicit-backed images cannot be probed and come back Indeterminate.
     """
     gamma_lower = tan.m_k
     if tan.n_k == 1:
@@ -264,7 +264,7 @@ def contact_shape(tan: TangentialReport, rng: random.Random) -> ContactShape:
         return ContactShape("Indeterminate", gamma_lower)
     try:
         fiber = min(gauss_fiber_dim(proj, [ctx], rng)
-                    for ctx, proj in tan.projections)
+                    for ctx, proj in tan.projections if proj.dim == tan.n_k)
     except NotParametric:
         return ContactShape("Indeterminate", gamma_lower)
     if fiber > 0:

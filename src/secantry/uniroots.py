@@ -14,6 +14,7 @@ the root list is sorted, so it does not depend on those draws.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 
 def trim(f: list[int]) -> list[int]:
@@ -67,18 +68,26 @@ def poly_gcd(f: list[int], g: list[int], p: int) -> list[int]:
     return poly_monic(a, p)
 
 
+@lru_cache(maxsize=64)
+def _tonelli_shanks(p: int) -> tuple[int, int, int]:
+    """(q, s, z^q mod p) for p - 1 = q * 2^s with q odd and z the least non-residue."""
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    return q, s, pow(z, q, p)
+
+
 def sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a mod the prime p (Tonelli-Shanks), or None for a non-residue."""
+    """A square root of a mod the prime p (Tonelli-Shanks), or None for a
+    non-residue.  The non-residue Tonelli-Shanks needs is found once per prime."""
     a %= p
     if a == 0 or p == 2:
         return a
     if pow(a, (p - 1) // 2, p) != 1:
         return None
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q, s = q // 2, s + 1
-    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
-    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    q, s, c = _tonelli_shanks(p)
+    t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
         # Least i with t^(2^i) = 1; b = c^(2^(s-i-1)) lowers the order of t.
         i, t2 = 0, t

@@ -801,6 +801,16 @@ def _ambient(r: int) -> int:
     return r
 
 
+def _chart_fits(dim: int, ncoords: int) -> None:
+    """SpecParseError unless a chart of dimension `dim` fits the P^(ncoords-1) it
+    maps to, which must obey MAX_AMBIENT; a wider chart's frames never reach dim+1
+    rows.  Checked before parsing, this caps a chart's variable count, at most
+    dim + 1 (a scaled chart or a restriction), at MAX_AMBIENT + 1."""
+    _ambient(ncoords - 1)
+    if dim > ncoords - 1:
+        raise SpecParseError(f"a chart of dimension {dim} cannot lie in P^{ncoords - 1}")
+
+
 def _json_int(value: object, low: int | None = None, optional: bool = False) -> int | None:
     """`value` if it is a JSON integer (not a bool) >= `low`, or None if optional; else ValueError."""
     if optional and value is None:
@@ -827,10 +837,11 @@ def _node_from_obj(obj: dict) -> VarietySpec:
     try:
         if op == "parametric":
             nv = _json_int(obj["nvars"], 0)
-            coords = [parse_poly(s, nv) for s in obj["coords"]]
             scaled = obj.get("scaled", False)
             if type(scaled) is not bool:
                 raise ValueError(f"'scaled' must be true or false, got {scaled!r}")
+            _chart_fits(nv - 1 if scaled else nv, len(obj["coords"]))
+            coords = [parse_poly(s, nv) for s in obj["coords"]]
             return Parametric(PolyMap(nv, coords), scaled=scaled,
                               degree=_json_int(obj.get("degree"), 1, optional=True))
         if op == "scroll":
@@ -861,6 +872,7 @@ def _node_from_obj(obj: dict) -> VarietySpec:
             return on_quadric(parse_poly(obj["equation"], 6))
         if op == "restricted":
             nv = _json_int(obj["nvars"], 0)
+            _chart_fits(nv - 1, len(obj["chart"]))
             chart = PolyMap(nv, [parse_poly(s, nv) for s in obj["chart"]])
             eq = parse_poly(obj["equation"], len(chart.coords))
             return RestrictedChart(chart, eq, solve_var=_json_int(obj.get("solve_var", 0)))
@@ -870,15 +882,17 @@ def _node_from_obj(obj: dict) -> VarietySpec:
             return ConeSection(child, eq)
         if op == "ruled_join":
             nv = _json_int(obj["nvars"], 0)
+            _chart_fits(nv + 1, len(obj["map1"]) + len(obj["map2"]))
             m1 = PolyMap(nv, [parse_poly(s, nv) for s in obj["map1"]])
             m2 = PolyMap(nv, [parse_poly(s, nv) for s in obj["map2"]])
             return ruled_join(m1, m2)
         if op == "fibered_join":
             bvars = _json_int(obj["base_vars"], 0)
-            base_coords = [parse_poly(s, bvars) for s in obj["base"]]
             fsrc = obj["fiber"]
             # Fiber variable count: parse against the widest index used.
             fvars = max(_max_var_index(fsrc) + 1, bvars)
+            _chart_fits(fvars + 1, len(obj["base"]) + len(fsrc))
+            base_coords = [parse_poly(s, bvars) for s in obj["base"]]
             fiber_coords = [parse_poly(s, fvars) for s in fsrc]
             return fibered_join(PolyMap(bvars, base_coords), PolyMap(fvars, fiber_coords))
         if op == "join_linear":

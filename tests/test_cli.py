@@ -220,6 +220,28 @@ class TestAnalyze:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
         assert "ambient dimension" in proc.stderr
 
+    # A chart of dimension above its ambient dimension can never be framed,
+    # and is rejected before its polynomials are parsed against its variable
+    # count.  Unchecked, parsing at 100000 variables ran past a 10 s timeout.
+    @pytest.mark.parametrize("spec", [
+        '{"op":"parametric","nvars":100000,"coords":["1","t0"]}',
+        '{"op":"parametric","nvars":3,"scaled":true,"coords":["t0","t1"]}',
+        '{"op":"ruled_join","nvars":100000,"map1":["1","t0"],"map2":["1","t1"]}',
+        '{"op":"restricted","nvars":100000,"chart":["1","t0","t1"],"equation":"x0"}',
+        '{"op":"fibered_join","base_vars":1,"base":["1","t0"],"fiber":["t99999"]}',
+    ], ids=["parametric", "parametric-scaled", "ruled-join", "restricted", "fibered-join"])
+    def test_chart_dimension_is_capped(self, spec, tmp_path):
+        path = tmp_path / "chart.variety.json"
+        path.write_text(spec)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-m", "secantry.cli", "analyze", str(path),
+                               "--k", "1"], env=env, capture_output=True, text=True, timeout=5,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                                    (1 << 30, 1 << 30)))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "cannot lie in" in proc.stderr
+
 
 class TestCatalogCommands:
     def test_list(self, tmp_path):

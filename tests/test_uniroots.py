@@ -101,6 +101,21 @@ class TestSqrtMod:
                 else:
                     assert s is None, (a, p)
 
+    def test_alternating_primes_match_brute_force(self):
+        # Consecutive calls switch primes, so each prime's cached non-residue
+        # must serve that prime alone.  p - 1 = 2^8 for 257 and 15 * 2^9 for
+        # 7681: the Tonelli-Shanks loop runs up to eight and nine rounds.
+        primes = [257, 7681, 3, 17, 7681, 97, 257, 5]
+        square_roots = {}
+        for p in set(primes):
+            for x in range(p):
+                square_roots.setdefault((p, x * x % p), set()).add(x)
+        for a in range(7681):
+            for p in primes:
+                s = sqrt_mod(a, p)
+                want = square_roots.get((p, a % p))
+                assert (s is None if want is None else s in want), (a, p)
+
     def test_large_prime(self):
         rng = derive_rng(SEED, "sqrt-big")
         for _ in range(50):
