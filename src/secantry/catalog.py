@@ -23,7 +23,7 @@ from typing import Callable
 
 from .linalg import derive_rng
 from .mpoly import PolyMap, random_poly
-from .terracini import (DEFAULT_TRIALS, ScanResult, TangentialReport,
+from .terracini import (DEFAULT_TRIALS, ScanResult, TangentialReport, expected_secant_dim,
                         min_defective_scan, tangential_projection)
 from .variety import (Parametric, VarietySpec, center_in_span,
                       center_on_points, cone_over, fibered_join, hypersurface,
@@ -312,20 +312,21 @@ def verify_family(entry: CatalogEntry, ctxs, rng: random.Random,
     scan = min_defective_scan(entry.spec, k_max, ctxs, rng, trials)
     tan = tangential_projection(entry.spec, k, ctxs, rng, report=scan.top)
     mism: list[str] = []
-    top = scan.reports[k]
+    top = scan.top
+    delta_k = expected_secant_dim(top.r, top.n, k) - top.chain[k]
     if top.r != exp.r:
         mism.append(f"r: expected {exp.r}, measured {top.r}")
     if top.chain[k] != exp.s_k:
         mism.append(f"s_k: expected {exp.s_k}, measured {top.chain[k]}")
-    if top.delta_k != exp.delta_k:
-        mism.append(f"delta_k: expected {exp.delta_k}, measured {top.delta_k}")
+    if delta_k != exp.delta_k:
+        mism.append(f"delta_k: expected {exp.delta_k}, measured {delta_k}")
     if tan.n_k != exp.n_k:
         mism.append(f"n_k: expected {exp.n_k}, measured {tan.n_k}")
     if exp.minimal and scan.first_defective != k:
         mism.append(f"minimal: expected first defective k={k}, "
                     f"measured {scan.first_defective}")
     if exp.s_k_plus_1 is not None:
-        measured_next = scan.reports[k + 1].chain[k + 1]
+        measured_next = top.chain[k + 1]
         if measured_next != exp.s_k_plus_1:
             mism.append(f"s_(k+1): expected {exp.s_k_plus_1}, measured {measured_next}")
     return VerifyResult(entry=entry, scan=scan, tangential=tan,

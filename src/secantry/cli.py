@@ -20,7 +20,7 @@ from . import catalog as cat
 from . import hilbert, terracini
 from .linalg import derive_rng, make_contexts
 from .mpoly import PolyParseError
-from .variety import (SampleExhausted, SpecParseError, VarietySpec,
+from .variety import (MAX_AMBIENT, SampleExhausted, SpecParseError, VarietySpec,
                       loads_spec, spec_hash)
 
 
@@ -52,32 +52,31 @@ def _markdown_report(rep: dict) -> str:
     return "\n".join(lines)
 
 
-def _report(spec: VarietySpec, scan: terracini.ScanResult, order: int, seed: int,
+def _report(spec: VarietySpec, top: terracini.SecantReport, order: int, seed: int,
             n_k: int | None, m_k: int | None, **extra) -> dict:
-    """The fields every report shares, read at secancy `order`, plus `extra`."""
-    top = scan.reports[order]
+    """The fields every report shares, read off `top` at secancy `order`, plus `extra`."""
+    sigma = terracini.expected_secant_dim(top.r, top.n, order)
     return {"spec_hash": spec_hash(spec), "seed": seed, "primes": top.primes,
-            "trials": top.trials, "ambient_r": top.r, "dim_n": spec.dim,
-            "chain": scan.reports[-1].chain, "sigma_k": top.sigma_k,
-            "delta_k": top.delta_k, "n_k": n_k, "m_k": m_k, "mismatches": [], **extra}
+            "trials": top.trials, "ambient_r": top.r, "dim_n": spec.dim, "chain": top.chain,
+            "sigma_k": sigma, "delta_k": sigma - top.chain[order], "n_k": n_k, "m_k": m_k,
+            "mismatches": [], **extra}
 
 
 def _measure(spec: VarietySpec, k: int, k_max: int, seed: int, trials: int) -> dict:
     ctxs = make_contexts(seed)
     rng = derive_rng(seed, "analysis")
-    scan = terracini.min_defective_scan(spec, k_max, ctxs, rng, trials)
-    top = scan.reports[k]
+    top = terracini.secant_dim(spec, k_max, ctxs, rng, trials)
     if k >= 1 and top.chain[k - 1] < top.r:
-        tan = terracini.tangential_projection(spec, k, ctxs, rng, report=scan.top)
+        tan = terracini.tangential_projection(spec, k, ctxs, rng, report=top)
         shape = terracini.contact_shape(tan, rng)
         n_k, m_k = tan.n_k, tan.m_k
     else:
         # Tangent spans already fill the ambient space: nothing to project.
         shape = terracini.ContactShape("Indeterminate", 0)
         n_k = m_k = None
-    # The scan already measured the span: h1 = dim<X> + 1.
-    return _report(spec, scan, k, seed, n_k, m_k, contact_shape=shape.classification,
-                   h1=top.r + 1, h2=hilbert.hilbert2(spec, ctxs, rng, points=scan.top.points))
+    # The chain already measured the span: h1 = dim<X> + 1.
+    return _report(spec, top, k, seed, n_k, m_k, contact_shape=shape.classification,
+                   h1=top.r + 1, h2=hilbert.hilbert2(spec, ctxs, rng, points=top.points))
 
 
 def cmd_analyze(args) -> int:
@@ -91,8 +90,9 @@ def cmd_analyze(args) -> int:
     if k > k_max:
         print("error: --k cannot exceed --k-max", file=sys.stderr)
         return 1
-    if k < 0 or k_max < 1:
-        print("error: --k must be >= 0 and --k-max (default: --k) >= 1", file=sys.stderr)
+    if k < 0 or not 1 <= k_max <= MAX_AMBIENT:  # s^(h) stops rising once it reaches r
+        print(f"error: --k must be >= 0 and --k-max (default: --k) in 1..{MAX_AMBIENT}",
+              file=sys.stderr)
         return 1
     rep = _measure(spec, k, k_max, args.seed, args.trials)
     text = _json_text(rep) if args.format == "json" else _markdown_report(rep)
@@ -102,7 +102,7 @@ def cmd_analyze(args) -> int:
 
 def _entry_report(res: cat.VerifyResult, seed: int) -> dict:
     entry = res.entry
-    return _report(entry.spec, res.scan, entry.k_eval, seed, res.tangential.n_k,
+    return _report(entry.spec, res.scan.top, entry.k_eval, seed, res.tangential.n_k,
                    res.tangential.m_k, family=entry.family, k=entry.k,
                    variant=entry.variant, mismatches=res.mismatches,
                    **{"pass": res.passed})  # `pass` is a keyword
@@ -222,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.trials < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
+    if not 1 <= args.trials <= terracini.MAX_TRIALS:
+        print(f"error: --trials must lie within 1..{terracini.MAX_TRIALS}", file=sys.stderr)
         return 1
     try:
         return args.func(args)

@@ -118,7 +118,7 @@ def check_quadric_bounds(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
                          rng: random.Random) -> QuadricCountReport:
     """Check lower <= h_Y(2) <= 4k + 4 for a declared-degree Y spanning P^(k+1).
 
-    The lower bound is the Castelnuovo-type bound evaluated at r = k + 1;
+    The lower bound is hilbert_report's Castelnuovo-type bound, at r = h1 - 1 = k + 1;
     the upper bound 4k + 4 is what an ambient of dimension at most 4k + 3
     can accommodate.
     """
@@ -126,13 +126,10 @@ def check_quadric_bounds(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
         raise ValueError("check needs a declared degree")
     if spec.dim >= k + 1:
         raise ValueError("variety must be a proper subvariety of P^(k+1)")
-    h1 = max(span_dim(spec, ctx, rng) for ctx in ctxs)
-    if h1 != k + 2:
-        raise ValueError(f"variety spans P^{h1 - 1}, expected P^{k + 1}")
-    iota, lower = castelnuovo_bound(k + 1, spec.dim, spec.degree)
-    h2 = hilbert2(spec, ctxs, rng)
-    upper = 4 * k + 4
-    return QuadricCountReport(k=k, n=spec.dim, d=spec.degree, h2=h2, iota=iota,
-                              lower=lower, upper=upper,
-                              lower_ok=h2 >= lower, upper_ok=h2 <= upper,
-                              equality=h2 == lower)
+    rep = hilbert_report(spec, ctxs, rng)
+    if rep.h1 != k + 2:
+        raise ValueError(f"variety spans P^{rep.h1 - 1}, expected P^{k + 1}")
+    h2, lower, upper = rep.h2, rep.bound2, 4 * k + 4
+    return QuadricCountReport(k=k, n=spec.dim, d=spec.degree, h2=h2, iota=rep.iota,
+                              lower=lower, upper=upper, lower_ok=h2 >= lower,
+                              upper_ok=h2 <= upper, equality=rep.equality2)

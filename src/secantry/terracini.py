@@ -22,9 +22,10 @@ from typing import NamedTuple
 
 from . import linalg
 from .linalg import PrimeContext, RowReducer
-from .variety import NotParametric, ProjectFrom, VarietySpec, span_dim
+from .variety import NotParametric, ProjectFrom, SampleExhausted, VarietySpec, span_dim
 
 DEFAULT_TRIALS = 5
+MAX_TRIALS = 100  # the CLI's cap: a scan holds every trial's points and pivot rows
 
 
 def expected_secant_dim(r: int, n: int, k: int) -> int:
@@ -56,28 +57,16 @@ class SecantReport:
     trials: int
     primes: list[int]
     agreement: bool
-    # Each prime's chain points and trials, keyed by p; None on a derived report.
-    points: dict[int, list[list[int]]] | None = field(default=None, repr=False, compare=False)
-    draws: dict[int, list[Trial]] | None = field(default=None, repr=False, compare=False)
-
-
-def _report(k: int, r: int, n: int, chain: list[int], trials: int, primes: list[int],
-            agreement: bool, points=None, draws=None) -> SecantReport:
-    """The order-k report read off a measured chain s^(0), ..., s^(>=k)."""
-    sigma_k = expected_secant_dim(r, n, k)
-    return SecantReport(k=k, r=r, n=n, chain=chain[:k + 1], sigma_k=sigma_k,
-                        delta_k=sigma_k - chain[k], trials=trials, primes=primes,
-                        agreement=agreement, points=points, draws=draws)
+    # Each prime's chain points and trials, keyed by p.
+    points: dict[int, list[list[int]]] = field(repr=False, compare=False)
+    draws: dict[int, list[Trial]] = field(repr=False, compare=False)
 
 
 @dataclass
 class ScanResult:
+    """The one report measured to k_max; order h compares top.chain[h] with sigma_h."""
     first_defective: int | None
-    reports: list[SecantReport]  # reports[-1] is the measured one, holding the points
-
-    @property
-    def top(self) -> SecantReport:
-        return self.reports[-1]
+    top: SecantReport  # secant_dim(spec, k_max, ...), holding its points and draws
 
 
 @dataclass
@@ -148,7 +137,10 @@ def secant_dim(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
     chains = [t.chain for ts in draws.values() for t in ts]
     chain = [max(c[h] for c in chains) for h in range(k + 1)]
     agreement = all(c == chain for c in chains) and all(s - 1 == r for s in spans)
-    return _report(k, r, spec.dim, chain, trials, [c.p for c in ctxs], agreement, points, draws)
+    sigma_k = expected_secant_dim(r, spec.dim, k)
+    return SecantReport(k=k, r=r, n=spec.dim, chain=chain, sigma_k=sigma_k,
+                        delta_k=sigma_k - chain[k], trials=trials, primes=[c.p for c in ctxs],
+                        agreement=agreement, points=points, draws=draws)
 
 
 def defect(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
@@ -161,17 +153,16 @@ def min_defective_scan(spec: VarietySpec, k_max: int, ctxs: list[PrimeContext],
                        rng: random.Random, trials: int = DEFAULT_TRIALS) -> ScanResult:
     """Find the smallest k <= k_max at which the variety is defective.
 
-    Defective means delta_k > 0 *and* s^(k) < r: a variety whose secants
-    fill the span is never called defective.
+    One chain, measured to k_max, is read at every order.  Defective at k
+    means s^(k) < sigma_k; as sigma_k = min(r, n(k+1) + k) <= r, that implies
+    s^(k) < r, so a variety whose secants fill the span is never called defective.
     """
     if k_max < 1:
         raise ValueError("need k_max >= 1")
-    full = secant_dim(spec, k_max, ctxs, rng, trials)
-    reports = [_report(h, full.r, full.n, full.chain, trials, full.primes, full.agreement)
-               for h in range(k_max)] + [full]
+    top = secant_dim(spec, k_max, ctxs, rng, trials)
     first = next((h for h in range(1, k_max + 1)
-                  if reports[h].delta_k > 0 and full.chain[h] < full.r), None)
-    return ScanResult(first_defective=first, reports=reports)
+                  if top.chain[h] < expected_secant_dim(top.r, top.n, h)), None)
+    return ScanResult(first_defective=first, top=top)
 
 
 def tangential_projection(spec: VarietySpec, k: int, ctxs: list[PrimeContext], rng: random.Random,
@@ -246,7 +237,7 @@ def _gauss_fiber_once(spec: VarietySpec, cmap, first, ctx: PrimeContext,
             constraints += [list(row) for row in zip(*residuals) if any(row)]  # one per coordinate
         # Kernel dimension c - rank, less the chart's c - n fiber directions.
         return n - linalg.rank(constraints, p)
-    raise ValueError("could not find a generic chart point for the Gauss map")
+    raise SampleExhausted(f"Gauss map: {linalg.SAMPLE_RETRIES} chart points of frame rank < {n + 1}")
 
 
 def contact_shape(tan: TangentialReport, rng: random.Random) -> ContactShape:

@@ -65,11 +65,11 @@ def test_criterion_3_double_embedding_table(ctxs):
         if k == 4:
             t4 = elapsed
         assert res.passed, res.mismatches
-        top = res.scan.reports[k]
+        top = res.scan.top
         assert res.scan.first_defective == k
         assert top.chain[k] == 4 * k + 2
-        assert top.delta_k == 1
-        assert res.scan.reports[k + 1].chain[k + 1] == 4 * k + 4
+        assert expected_secant_dim(top.r, top.n, k) - top.chain[k] == 1
+        assert top.chain[k + 1] == 4 * k + 4
         assert res.tangential.n_k == 2
         assert res.tangential.m_k == 1
         tan_next = tangential_projection(entry.spec, k + 1, ctxs, rng)

@@ -101,7 +101,7 @@ class TestVerifyFamily:
         res = verify_family(entry, ctxs, derive_rng(SEED, "vf"), trials=3)
         assert res.passed and not res.mismatches
         assert res.scan.first_defective == 2
-        assert res.scan.reports[-1].chain == [3, 7, 10, 12]
+        assert res.scan.top.chain == [3, 7, 10, 12]
 
     def test_extra_examples_pass(self, ctxs):
         for family, k in (("EX_VERONESE_P3", 1), ("EX_SEGRE", 2),

@@ -242,6 +242,23 @@ class TestAnalyze:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
         assert "cannot lie in" in proc.stderr
 
+    # A chain past order MAX_AMBIENT, or a scan holding 10^8 trials, ran past
+    # a 10 s timeout uncapped (the trials under 400 MB ended in MemoryError).
+    @pytest.mark.parametrize("args", [
+        ["analyze", "specs/twisted-cubic.variety.json", "--k-max", "100000"],
+        ["analyze", "specs/twisted-cubic.variety.json", "--k", "100000"],
+        ["analyze", "specs/twisted-cubic.variety.json", "--k", "1", "--trials", "100000000"],
+        ["catalog", "verify", "--family", "F13", "--k", "2", "--trials", "100000000"],
+    ], ids=["k-max", "k", "trials", "verify-trials"])
+    def test_orders_and_trials_are_capped(self, args):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-m", "secantry.cli", *args], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=5,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                                    (1 << 30, 1 << 30)))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
 
 class TestCatalogCommands:
     def test_list(self, tmp_path):

@@ -95,6 +95,15 @@ class TestHilbert2Stops:
         assert hilbert2(spec, ctxs, rng, points=points) == 15
         assert drawn == {ctxs[0].p: 15 + 8 - 10}
 
+    @pytest.mark.parametrize("stalled", [0, 1])
+    def test_a_stalled_prime_does_not_lower_h2(self, ctxs, rng, stalled):
+        # One point read 30 times stalls that prime's fold at rank 1; h2 is
+        # the maximum over primes, so the other prime's 15 stands.
+        spec = veronese(projective_space(2), 2)
+        ctx = ctxs[stalled]
+        q = spec.sample(ctx, rng).point
+        assert hilbert2(spec, ctxs, rng, points={ctx.p: [q] * 30}) == 15
+
     def test_reducible_union_of_two_planes(self):
         # h2 assumes an irreducible X; x0*x1 = 0 in P^3 is two planes, whose
         # points can stall the rank on one plane.  Over seeds 0..99 the

@@ -14,8 +14,8 @@ from secantry.terracini import (contact_shape, defect, expected_secant_dim,
                                 gauss_fiber_dim, min_defective_scan,
                                 secant_dim, tangential_projection)
 from secantry.mpoly import parse_poly
-from secantry.variety import (NotParametric, ProjectFrom, VarietySpec, cone_over,
-                              hypersurface, join_linear, loads_spec, on_quadric,
+from secantry.variety import (NotParametric, ProjectFrom, SampleExhausted, VarietySpec,
+                              cone_over, hypersurface, join_linear, loads_spec, on_quadric,
                               projective_space, random_center,
                               random_cone_section, rational_normal_curve,
                               scroll, segre_pair, span_dim, veronese)
@@ -60,6 +60,16 @@ class TestSecantDim:
                          derive_rng(seed, "agree"), trials=1)
         assert not rep.agreement
         assert (rep.chain, rep.r) == ([3, 7, 11, 14], 15)
+
+    @pytest.mark.parametrize("short", [0, 1])
+    def test_span_keeps_the_larger_prime(self, ctxs, rng, monkeypatch, short):
+        # One prime's span falls a rank short; r is the other prime's, and
+        # the flag records the disagreement.
+        span = terracini.span_dim
+        monkeypatch.setattr(terracini, "span_dim", lambda spec, ctx, rng, points=():
+                            span(spec, ctx, rng, points) - (ctx.p == ctxs[short].p))
+        rep = secant_dim(veronese(projective_space(2), 2), 1, ctxs, rng)
+        assert rep.r == 5 and not rep.agreement
 
     def test_expected_dim_formula(self):
         assert expected_secant_dim(9, 3, 1) == 7
@@ -168,12 +178,6 @@ class TestScan:
         entry = build_family("F11", 2)
         scan = min_defective_scan(entry.spec, 3, ctxs, rng, trials=2)
         assert scan.first_defective == 2
-
-    def test_reports_share_chain_prefix(self, ctxs, rng):
-        scan = min_defective_scan(veronese(projective_space(3), 2), 3, ctxs,
-                                  rng, trials=2)
-        for h, rep in enumerate(scan.reports):
-            assert rep.chain == scan.top.chain[:h + 1]
 
 
 class TestTangential:
@@ -336,6 +340,13 @@ class TestGaussFibers:
 
     def test_plane(self, ctxs, rng):
         assert gauss_fiber_dim(projective_space(2), ctxs, rng) == 2
+
+    def test_rank_deficient_chart_exhausts_the_sampler(self, ctxs, rng):
+        # A conic declared as a surface: every chart point's frame has rank
+        # 2 < 3, so the Gauss map ends in the sampler's documented failure.
+        spec = loads_spec('{"op":"parametric","nvars":2,"coords":["1","t0+t1","(t0+t1)^2"]}')
+        with pytest.raises(SampleExhausted):
+            gauss_fiber_dim(spec, ctxs, rng)
 
     def test_cone_over_twisted_cubic(self, ctxs, rng):
         assert gauss_fiber_dim(cone_over(rational_normal_curve(3), 0),
