@@ -169,7 +169,8 @@ def tangential_projection(spec: VarietySpec, k: int, ctxs: list[PrimeContext], r
                           report: SecantReport | None = None) -> TangentialReport:
     """Measure n_k = dim of the image of a general k-tangential projection.
 
-    Reads the trials of `report`, measured to order >= k (default: secant_dim).
+    Reads the trials of `report`, measured to order >= k (default: secant_dim);
+    a report measured to a lower order raises ValueError.
     By Terracini's lemma n_k = chain[k] - s^(k-1) - 1 on a trial whose first k
     frames reach the accepted s^(k-1) + 1 (Chiantini-Ciliberto, Weakly
     defective varieties, Trans. AMS 354 (2002)); only such full-rank centers
@@ -180,6 +181,8 @@ def tangential_projection(spec: VarietySpec, k: int, ctxs: list[PrimeContext], r
     if k < 1:
         raise ValueError("need k >= 1")
     report = report or secant_dim(spec, k, ctxs, rng)
+    if report.k < k:
+        raise ValueError(f"report measured to order {report.k}; n_{k} needs order {k}")
     s = report.chain[k - 1]
     if s >= report.r:
         raise ValueError("tangent span fills the span of the variety; nothing to project")

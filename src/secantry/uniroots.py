@@ -4,11 +4,12 @@ Polynomials are dense coefficient lists in ascending degree order
 ([a0, a1, ...] for a0 + a1*x + ...), coefficients in [0, p).
 
 Over an odd prime, degree <= 2 is solved by formula (Tonelli-Shanks for
-the square root).  Higher degrees go the Cantor-Zassenhaus way: gcd with
-x^p - x isolates the product of distinct linear factors, then splitting
-with (x + a)^((p-1)/2) peels the roots off; one kernel, `_pow_shift`,
-computes both powers.  Only splitting degree >= 3 draws from the RNG, and
-the root list is sorted, so it does not depend on those draws.
+the square root, one exponentiation per call).  Higher degrees go the
+Cantor-Zassenhaus way: gcd with x^p - x isolates the product of distinct
+linear factors, then splitting with (x + a)^((p-1)/2) peels the roots off;
+one kernel, `_pow_shift`, computes both powers, unrolled for a cubic.  Only
+splitting degree >= 3 draws from the RNG, and the root list is sorted, so
+it does not depend on those draws.
 """
 
 from __future__ import annotations
@@ -80,19 +81,24 @@ def _tonelli_shanks(p: int) -> tuple[int, int, int]:
 
 def sqrt_mod(a: int, p: int) -> int | None:
     """A square root of a mod the prime p (Tonelli-Shanks), or None for a
-    non-residue.  The non-residue Tonelli-Shanks needs is found once per prime."""
+    non-residue.  The non-residue Tonelli-Shanks needs is found once per prime.
+    One power, b = a^((q-1)/2), gives r = a*b = a^((q+1)/2) and t = r*b = a^q;
+    t has order 2^s exactly when a is a non-residue (Euler's criterion), so
+    the order search reaching i == s stands in for a second power."""
     a %= p
     if a == 0 or p == 2:
         return a
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
     q, s, c = _tonelli_shanks(p)
-    t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
+    b = pow(a, (q - 1) // 2, p)
+    r = a * b % p
+    t = r * b % p
     while t != 1:
         # Least i with t^(2^i) = 1; b = c^(2^(s-i-1)) lowers the order of t.
         i, t2 = 0, t
         while t2 != 1:
             t2, i = t2 * t2 % p, i + 1
+        if i == s:
+            return None
         b = pow(c, 1 << (s - i - 1), p)
         s, c = i, b * b % p
         t, r = t * c % p, r * b % p
@@ -113,7 +119,13 @@ def _pow_shift(a: int, e: int, f: list[int], p: int) -> list[int]:
     """(x + a)^e mod a monic f of degree n >= 1: square, shift-and-add x + a on
     a set bit, reduce from the top by x^n = -(f_0 + ... + f_{n-1} x^{n-1}).
     Its own reduction, not `poly_divmod`: a monic f needs no inverse or quotient,
-    and root finding ran about a third slower through a lazy `poly_divmod`."""
+    and root finding ran about a third slower through a lazy `poly_divmod`.
+
+    Every degree >= 3 restriction the samplers solve is a cubic, where the list
+    loop's bookkeeping costs more than its arithmetic, so a cubic goes to
+    `_pow_shift3`; the loop serves degree >= 4, and degrees 1 and 2 over F_2."""
+    if len(f) == 4:
+        return _pow_shift3(a, e, f, p)
     n = len(f) - 1
     r = [1]
     for bit in bin(e)[2:]:
@@ -134,6 +146,26 @@ def _pow_shift(a: int, e: int, f: list[int], p: int) -> list[int]:
                     w[k - n + i] -= c * f[i]
         r = [v % p for v in w[:n]]
     return trim(r)
+
+
+def _pow_shift3(a: int, e: int, f: list[int], p: int) -> list[int]:
+    """`_pow_shift` on r0 + r1 x + r2 x^2 mod a monic cubic f: five products square
+    it, a set bit shifts and adds x + a, and the x^5, x^4 and x^3 terms fold by
+    x^3 = -(f0 + f1 x + f2 x^2), one `% p` per coefficient per bit."""
+    f0, f1, f2 = f[0], f[1], f[2]
+    r0, r1, r2 = 1, 0, 0
+    for bit in bin(e)[2:]:
+        d0 = r0 + r0
+        s0, s1, s2, s3, s4 = r0 * r0, d0 * r1, r1 * r1 + d0 * r2, (r1 + r1) * r2, r2 * r2
+        if bit == "1":
+            c = s4 % p  # x^5
+            s0, s1, s2, s3, s4 = (a * s0, s0 + a * s1, s1 + a * s2 - c * f0,
+                                  s2 + a * s3 - c * f1, s3 + a * s4 - c * f2)
+        c = s4 % p  # x^4
+        s1, s2, s3 = s1 - c * f0, s2 - c * f1, s3 - c * f2
+        c = s3 % p  # x^3
+        r0, r1, r2 = (s0 - c * f0) % p, (s1 - c * f1) % p, (s2 - c * f2) % p
+    return trim([r0, r1, r2])
 
 
 def roots(f: list[int], p: int, rng: random.Random) -> list[int]:

@@ -221,6 +221,16 @@ class TestTangential:
         pf = tan.projected_spec.sample(ctxs[1], rng)
         assert len(pf.frame) == tan.n_k + 1
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_short_report_is_refused(self, ctxs, rng, k):
+        # n_k reads chain[k] of every trial: a report measured to order 1
+        # holds chain[0..1] only, so k = 2 (one order short) and k = 3 (two
+        # short) must be refused before any chain is read.
+        spec = veronese(projective_space(2), 2)
+        rep = secant_dim(spec, 1, ctxs, rng)
+        with pytest.raises(ValueError, match="measured to order 1"):
+            tangential_projection(spec, k, ctxs, rng, report=rep)
+
 
 class TestChainLaw:
     CORPUS = [

@@ -5,7 +5,8 @@ from __future__ import annotations
 import itertools
 
 from secantry.linalg import derive_rng
-from secantry.uniroots import poly_divmod, poly_gcd, poly_sub, roots, sqrt_mod, trim
+from secantry.uniroots import (_pow_shift, poly_divmod, poly_gcd, poly_sub, roots,
+                               sqrt_mod, trim)
 
 from seeds import SEED
 
@@ -86,6 +87,43 @@ class TestBruteForceAcrossPrimes:
                 for f in self.cases(p, d, rng):
                     expected = sorted(t for t in range(p) if eval_poly(f, t, p) == 0)
                     assert roots(f, p, rng) == expected, (p, f)
+
+
+class TestPowShift:
+    # (x + a)^e mod a monic f against square-and-multiply through schoolbook
+    # products and the library's long division.  Cubics take the unrolled
+    # kernel, so their f include zero coefficients, x^3 and a planted
+    # (x + a)^3 (whose power vanishes); other degrees take the list loop.
+    PRIMES = (2, 3, 5, 7, 101, 257, 7681, P62)
+
+    @staticmethod
+    def oracle(a, e, f, p):
+        acc = [1]
+        for bit in bin(e)[2:]:
+            acc = poly_divmod(poly_mul(acc, acc, p), f, p)[1]
+            if bit == "1":
+                acc = poly_divmod(poly_mul(acc, [a, 1], p), f, p)[1]
+        return acc
+
+    def check(self, n, extra, name):
+        rng = derive_rng(SEED, "pow-shift", name)
+        for p in self.PRIMES:
+            for a in (0, rng.randrange(1, p)):
+                fs = [[rng.randrange(p) for _ in range(n)] + [1] for _ in range(3)]
+                for f in fs + extra(a, p, rng):
+                    for e in (1, 2, 3, p, (p - 1) // 2, rng.randrange(1 << 64)):
+                        assert _pow_shift(a, e, f, p) == self.oracle(a, e, f, p), (a, e, f, p)
+
+    def test_monic_cubics(self):
+        self.check(3, lambda a, p, rng: [[0, 0, 0, 1], [rng.randrange(p), 0, 0, 1],
+                                         [0, rng.randrange(p), 0, 1],
+                                         [0, 0, rng.randrange(p), 1],
+                                         [c % p for c in (a ** 3, 3 * a * a, 3 * a, 1)]],
+                   "cubic")
+
+    def test_other_degrees(self):
+        for n in (1, 2, 4, 5):
+            self.check(n, lambda a, p, rng: [[0] * n + [1]], f"degree-{n}")
 
 
 class TestSqrtMod:
