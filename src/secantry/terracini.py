@@ -212,7 +212,7 @@ def gauss_fiber_dim(spec: VarietySpec, ctxs: list[PrimeContext],
     """
     fibers = []
     for ctx in ctxs:
-        cmap, _ = spec.chart(ctx)  # NotParametric for implicit-backed trees
+        cmap = spec.chart(ctx)  # NotParametric for implicit-backed trees
         first = [[co.partial(j) for j in range(cmap.nvars)] for co in cmap.coords]
         fibers.append(_gauss_fiber_once(spec, cmap, first, ctx, rng))
     return min(fibers)

@@ -17,6 +17,8 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
+from .linalg import SAMPLE_RETRIES
+
 
 def trim(f: list[int]) -> list[int]:
     while f and f[-1] == 0:
@@ -191,7 +193,9 @@ def roots(f: list[int], p: int, rng: random.Random) -> list[int]:
 
 def _split_linear(g: list[int], p: int, rng: random.Random) -> list[int]:
     """Roots of a monic g of degree <= 2, or of a monic product of distinct
-    linear factors (equal-degree splitting)."""
+    linear factors (equal-degree splitting).  A draw fails to split such a
+    product of degree >= 3 with probability <= 1/4, so SAMPLE_RETRIES failures
+    mean g is not one: ArithmeticError, a bug rather than bad luck."""
     deg = len(g) - 1
     if deg <= 0:
         return []
@@ -200,9 +204,10 @@ def _split_linear(g: list[int], p: int, rng: random.Random) -> list[int]:
     if deg == 2:
         return _quadratic_roots(g, p)  # p is odd: over F_2, deg g <= 1 here
     half = (p - 1) // 2
-    while True:
+    for _ in range(SAMPLE_RETRIES):
         a = rng.randrange(p)
         d = poly_gcd(poly_sub(_pow_shift(a, half, g, p), [1], p), g, p)
         if 0 < len(d) - 1 < deg:
             other = poly_divmod(g, d, p)[0]
             return _split_linear(d, p, rng) + _split_linear(other, p, rng)
+    raise ArithmeticError(f"no split in {SAMPLE_RETRIES} draws: not distinct linear factors")

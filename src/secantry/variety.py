@@ -34,13 +34,11 @@ center matrices), so one tree can be sampled under several primes; the
 reduction modulo p happens inside the samplers.
 
 Fully parametric trees additionally expose a symbolic chart: a PolyMap
-whose image (projectivized) is the variety.  Charts come in two kinds:
-
-* "affine"  - projective dim = nvars; the cone adds one scaling direction,
-              handled by including the value row in the frame;
-* "scaled"  - the chart already parametrizes the cone (joins carry the
-              two block scalings as explicit parameters); projective
-              dim = nvars - 1.
+whose image (projectivized) is the variety.  One contract: at a general
+parameter, the chart's value and first partials span the cone's tangent
+space (dim+1 rows), and the nvars - dim leftover parameters are fiber
+directions.  `chart(None)` asks for the chart over the integers, which a
+projection's kernel map (residues mod p) cannot give.
 """
 
 from __future__ import annotations
@@ -138,7 +136,7 @@ class VarietySpec:
 
     # -- symbolic chart ----------------------------------------------------
 
-    def chart(self, ctx: PrimeContext) -> tuple[PolyMap, str]:
+    def chart(self, ctx: PrimeContext | None) -> PolyMap:
         raise NotParametric(f"{type(self).__name__} has no polynomial chart")
 
     # -- serialization -----------------------------------------------------
@@ -164,7 +162,7 @@ def _framed(spec: VarietySpec, point: list[int], rows: list[list[int]], p: int) 
 
 
 class Parametric(VarietySpec):
-    """Closure of the image of a polynomial map (one affine or scaled chart)."""
+    """Closure of the image of a polynomial map (of the cone's, when `scaled`)."""
 
     def __init__(self, fmap: PolyMap, scaled: bool = False, degree: int | None = None,
                  ctor: dict | None = None):
@@ -184,7 +182,7 @@ class Parametric(VarietySpec):
         return _framed(self, point, [point] + partials, p)
 
     def chart(self, ctx):
-        return self.map, ("scaled" if self.scaled else "affine")
+        return self.map
 
     def to_obj(self):
         if self._ctor is not None:
@@ -239,11 +237,11 @@ class Veronese(VarietySpec):
         return _framed(self, point, [point] + pushes, p)
 
     def chart(self, ctx):
-        cmap, kind = self.child.chart(ctx)
+        cmap = self.child.chart(ctx)
         coords = [MPoly.constant(cmap.nvars, 1)]
         for rung in self.rungs:
             coords = [coords[j] * cmap.coords[i] for j, i in rung]
-        return PolyMap(cmap.nvars, coords), kind
+        return PolyMap(cmap.nvars, coords)
 
     def to_obj(self):
         return {"op": "veronese", "d": self.d, "child": self.child.to_obj()}
@@ -272,16 +270,11 @@ class SegrePair(VarietySpec):
         return _framed(self, point, rows, p)
 
     def chart(self, ctx):
-        lmap, lkind = self.left.chart(ctx)
-        rmap, rkind = self.right.chart(ctx)
-        if "scaled" in (lkind, rkind) and lkind == rkind:
-            raise NotParametric("Segre of two scaled charts is not supported")
+        lmap, rmap = self.left.chart(ctx), self.right.chart(ctx)
         nv = lmap.nvars + rmap.nvars
         lcs = [c.shift_vars(0, nv) for c in lmap.coords]
         rcs = [c.shift_vars(lmap.nvars, nv) for c in rmap.coords]
-        coords = [a * b for a in lcs for b in rcs]
-        kind = "scaled" if "scaled" in (lkind, rkind) else "affine"
-        return PolyMap(nv, coords), kind
+        return PolyMap(nv, [a * b for a in lcs for b in rcs])
 
     def to_obj(self):
         return {"op": "segre", "left": self.left.to_obj(), "right": self.right.to_obj()}
@@ -313,11 +306,11 @@ class ConeOver(VarietySpec):
         return PointFrame(point, rows)
 
     def chart(self, ctx):
-        cmap, kind = self.child.chart(ctx)
+        cmap = self.child.chart(ctx)
         nv = cmap.nvars + self.v + 1
         coords = [c.shift_vars(0, nv) for c in cmap.coords]
         coords += [MPoly.variable(nv, cmap.nvars + i) for i in range(self.v + 1)]
-        return PolyMap(nv, coords), kind
+        return PolyMap(nv, coords)
 
     def to_obj(self):
         return {"op": "cone", "vertex_dim": self.v, "child": self.child.to_obj()}
@@ -377,8 +370,9 @@ class ProjectFrom(VarietySpec):
         return _framed(self, point, rows, p)
 
     def chart(self, ctx):
-        cmap, kind = self.child.chart(ctx)
-        return cmap.compose_linear(self.kernel_map(ctx)), kind
+        if ctx is None:
+            raise NotParametric("the chart of a projection depends on the prime")
+        return self.child.chart(ctx).compose_linear(self.kernel_map(ctx))
 
     def to_obj(self):
         obj = {"op": "project", "center": [list(r) for r in self.center],
@@ -545,10 +539,8 @@ class JoinLinear(VarietySpec):
         return PointFrame(point, rows)
 
     def chart(self, ctx):
-        cmap, kind = self.child.chart(ctx)
-        if kind != "affine":
-            raise NotParametric("ruled join over a scaled chart is not supported")
-        return _join_map(cmap, cmap.compose_linear(self.block)), "scaled"
+        cmap = self.child.chart(ctx)
+        return _join_map(cmap, cmap.compose_linear(self.block))
 
     def to_obj(self):
         return {"op": "join_linear", "block": [list(r) for r in self.block],
@@ -716,22 +708,9 @@ def _chart_int_eval(cmap: PolyMap, t: list[int]) -> list[int]:
     return out
 
 
-def _holds_projection(spec: VarietySpec) -> bool:
-    return isinstance(spec, ProjectFrom) or any(
-        _holds_projection(child) for child in vars(spec).values()
-        if isinstance(child, VarietySpec))
-
-
-def _integer_chart(child: VarietySpec) -> PolyMap:
-    """The child's chart over the integers (a projection's holds residues mod p)."""
-    if _holds_projection(child):
-        raise NotParametric("the chart of a projection depends on the prime")
-    return child.chart(PrimeContext(p=(1 << 61) - 1))[0]
-
-
 def center_in_span(child: VarietySpec, s: int, rng: random.Random) -> list[list[int]]:
     """An (s+1)-row integer matrix spanning a random s-plane inside <child>."""
-    cmap = _integer_chart(child)
+    cmap = child.chart(None)
     nparams = cmap.nvars
     rows = []
     for _ in range(s + 1):
@@ -747,7 +726,7 @@ def center_in_span(child: VarietySpec, s: int, rng: random.Random) -> list[list[
 
 def center_on_points(child: VarietySpec, count: int, rng: random.Random) -> list[list[int]]:
     """Center spanned by `count` chart points of the child at integer parameters."""
-    cmap = _integer_chart(child)
+    cmap = child.chart(None)
     rows = []
     for _ in range(count):
         t = [rng.randrange(2, 10 ** 4) for _ in range(cmap.nvars)]

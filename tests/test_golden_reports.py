@@ -61,6 +61,12 @@ COMMANDS = {
         "analyze", "tests/specs/family-13-k2-line-secant.variety.json", "--k", "2"],
     "analyze-family-1-k2-line": ["analyze", "tests/specs/family-1-k2-line.variety.json",
                                  "--k", "2"],
+    # The Segre and cone charts: EX_TERRACINI_13 k = 4's projection reads
+    # its Gauss fiber through SegrePair's chart (not developable), F4
+    # k = 4's through ConeOver's and a nested projection's (developable).
+    "analyze-ex-terracini-13-k4": ["analyze", "tests/specs/ex-terracini-13-k4.variety.json",
+                                   "--k", "4"],
+    "analyze-family-4-k4": ["analyze", "tests/specs/family-4-k4.variety.json", "--k", "4"],
     # One entry per root-solving sampler: F5 is the catalog's only
     # RestrictedChart, F1 `point` a ConeSection, F8 a Hypersurface.
     "verify-F5-k4": ["catalog", "verify", "--family", "F5", "--k", "4"],

@@ -16,13 +16,20 @@ from secantry.terracini import (contact_shape, defect, expected_secant_dim,
 from secantry.mpoly import parse_poly
 from secantry.variety import (NotParametric, ProjectFrom, SampleExhausted, VarietySpec,
                               cone_over, hypersurface, join_linear, loads_spec, on_quadric,
-                              projective_space, random_center,
+                              parametric, projective_space, random_center,
                               random_cone_section, rational_normal_curve,
                               scroll, segre_pair, span_dim, veronese)
 
 from seeds import SEED
 
 ROOT = Path(__file__).resolve().parents[1]
+LINE = ("t0", "t1")
+CUBIC = ("t0^3", "t0^2*t1", "t0*t1^2", "t1^3")
+
+
+def scaled_chart(*coords: str):
+    """The `scaled` parametric variety whose cone the two-variable `coords` parametrize."""
+    return parametric([parse_poly(c, 2) for c in coords], scaled=True)
 
 
 class TestSecantDim:
@@ -341,7 +348,7 @@ class TestGaussFibers:
         ranked, rank = [], linalg.rank
         monkeypatch.setattr(linalg, "rank", lambda mat, p: ranked.append(mat) or rank(mat, p))
         for ctx, proj in tan.projections:
-            cmap, _ = proj.chart(ctx)
+            cmap = proj.chart(ctx)
             first = [[co.partial(j) for j in range(cmap.nvars)] for co in cmap.coords]
             ranked.clear()
             terracini._gauss_fiber_once(proj, cmap, first, ctx, derive_rng(SEED, path, ctx.p))
@@ -368,6 +375,19 @@ class TestGaussFibers:
         # [[1,0],[0,1],[t,s]] has rank 2, so the Gauss map is finite.
         assert gauss_fiber_dim(segre_pair(projective_space(1),
                                           projective_space(1)), ctxs, rng) == 0
+
+    # Charts with two fiber directions (two scalings, or a scaling and a
+    # join's): the frame-rank check and n - rank absorb both.
+    @pytest.mark.parametrize("spec, fiber", [
+        (segre_pair(scaled_chart(*LINE), scaled_chart(*LINE)), 0),
+        (segre_pair(scaled_chart(*CUBIC), scaled_chart(*LINE)), 0),
+        (veronese(segre_pair(scaled_chart(*LINE), scaled_chart(*LINE)), 2), 0),
+        # A one-row block joins each point of the twisted cubic to one new
+        # coordinate point: the cone over it, whose Gauss fibers are its lines.
+        (join_linear(scaled_chart(*CUBIC), [[1, 2, 3, 4]]), 1),
+    ], ids=["quadric", "cubic-times-line", "v2-of-quadric", "cone-over-cubic"])
+    def test_scaled_charts(self, spec, fiber, ctxs, rng):
+        assert gauss_fiber_dim(spec, ctxs, rng) == fiber
 
     def test_scroll_surface_not_developable(self, ctxs, rng):
         assert gauss_fiber_dim(scroll([2, 1]), ctxs, rng) == 0

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import signal
+
+import pytest
 
 from secantry.linalg import derive_rng
-from secantry.uniroots import (_pow_shift, poly_divmod, poly_gcd, poly_sub, roots,
-                               sqrt_mod, trim)
+from secantry.uniroots import (_pow_shift, _split_linear, poly_divmod, poly_gcd, poly_sub,
+                               roots, sqrt_mod, trim)
 
 from seeds import SEED
 
@@ -210,6 +213,23 @@ class TestLargePrime:
         a = roots(f, p, derive_rng(SEED, "det"))
         b = roots(f, p, derive_rng(SEED, "det"))
         assert a == b
+
+
+class TestSplitLinear:
+    def test_irreducible_cubic_is_refused_not_retried_forever(self):
+        # x^3 - 2 is irreducible over F_7 (2 is not a cube there), so no draw
+        # splits it; the bounded retries must end well inside the alarm.
+        def timeout(signum, frame):
+            raise TimeoutError("_split_linear kept retrying")
+
+        old = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(5)
+        try:
+            with pytest.raises(ArithmeticError):
+                _split_linear([5, 0, 0, 1], 7, derive_rng(SEED, "irreducible"))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
 
 
 class TestPolyOps:

@@ -52,6 +52,11 @@ def spec_zoo(rng):
     ]
 
 
+def scaled_chart(*coords: str):
+    """The `scaled` parametric variety whose cone the two-variable `coords` parametrize."""
+    return parametric([parse_poly(c, 2) for c in coords], scaled=True)
+
+
 def _fiber_map():
     coords = [MPoly.monomial(2, (0, 0)), MPoly.monomial(2, (1, 0)),
               MPoly.monomial(2, (0, 1)), MPoly.monomial(2, (1, 1))]
@@ -342,10 +347,10 @@ class TestVeroneseLadder:
 
     def test_chart_is_pulled_back_monomials(self, ctxs):
         child = scroll([1, 2])
-        cmap, kind = child.chart(ctxs[0])
-        vmap, vkind = veronese(child, 3).chart(ctxs[0])
+        cmap = child.chart(ctxs[0])
+        vmap = veronese(child, 3).chart(ctxs[0])
         nq = len(cmap.coords)
-        assert vkind == kind and vmap.nvars == cmap.nvars
+        assert vmap.nvars == cmap.nvars
         assert vmap.coords == [cmap.pull_back(MPoly.monomial(nq, e))
                                for e in monomial_exponents(nq, 3)]
 
@@ -510,13 +515,17 @@ class TestChart:
             spec.chart(ctxs[0])
 
     def test_chart_matches_sampler_span(self, ctxs):
-        # The chart Jacobian frame and the sampler frame span the same
-        # kind of spaces: equal rank at matching parameters.
+        # The chart's value and first partials span the cone's tangent space,
+        # dim+1 rows like the sampler frame, whatever the chart's fiber
+        # directions: a scaled chart's scaling, two of them under a Segre,
+        # or a join's scalings over a scaled chart.
         rng = derive_rng(SEED, "chart")
-        spec = veronese(scroll([2, 1]), 2)
-        cmap, kind = spec.chart(ctxs[0])
-        assert kind == "affine"
+        line = scaled_chart("t0", "t1")
+        cubic = scaled_chart("t0^3", "t0^2*t1", "t0*t1^2", "t1^3")
         p = ctxs[0].p
-        t = [rng.randrange(p) for _ in range(cmap.nvars)]
-        values, partials = cmap.partial_rows(t, p)
-        assert rank([values] + partials, p) == spec.dim + 1
+        for spec in (veronese(scroll([2, 1]), 2), segre_pair(line, line),
+                     join_linear(cubic, [[1, 2, 3, 4], [5, 6, 7, 8]])):
+            cmap = spec.chart(ctxs[0])
+            t = [rng.randrange(p) for _ in range(cmap.nvars)]
+            values, partials = cmap.partial_rows(t, p)
+            assert rank([values] + partials, p) == spec.dim + 1

@@ -34,9 +34,8 @@ def start(tree: Path, workload: str) -> subprocess.Popen:
                             cwd=tree, env=env, stdout=subprocess.PIPE, text=True)
 
 
-def result(proc: subprocess.Popen, tree: Path, workload: str) -> dict:
-    """The run's last stdout line: `{"correct", ..., "metrics"}`."""
-    out, _ = proc.communicate()
+def result(proc: subprocess.Popen, out: str, tree: Path, workload: str) -> dict:
+    """The finished run's last stdout line: `{"correct", ..., "metrics"}`."""
     lines = out.strip().splitlines()
     if proc.returncode or not lines:
         raise SystemExit(f"error: {workload} on {tree} exited {proc.returncode}")
@@ -54,7 +53,9 @@ def main(argv: list[str]) -> int:
     differ = 0
     for workload in (w["name"] for w in bench["workloads"]):
         procs = [start(tree, workload) for tree in trees]
-        parent, change = (result(proc, tree, workload) for proc, tree in zip(procs, trees))
+        outs = [proc.communicate()[0] for proc in procs]  # reap both before judging either
+        parent, change = (result(proc, out, tree, workload)
+                          for proc, out, tree in zip(procs, outs, trees))
         a, b = parent["metrics"], change["metrics"]
         names = sorted(name for name in a.keys() | b.keys() if name not in TIMED and
                        (a.get(name) or b.get(name))["unit"] in ("count", "ratio"))
