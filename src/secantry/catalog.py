@@ -311,8 +311,9 @@ def verify_family(entry: CatalogEntry, ctxs, rng: random.Random,
     k_max = k + 1 if exp.s_k_plus_1 is not None else k
     scan = min_defective_scan(entry.spec, k_max, ctxs, rng, trials)
     tan = tangential_projection(entry.spec, k, ctxs, rng, report=scan.top)
-    mism: list[str] = []
     top = scan.top
+    top.draws.clear()  # read by the projection alone; verify_all keeps every result
+    mism: list[str] = []
     delta_k = expected_secant_dim(top.r, top.n, k) - top.chain[k]
     if top.r != exp.r:
         mism.append(f"r: expected {exp.r}, measured {top.r}")

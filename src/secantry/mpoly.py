@@ -8,16 +8,17 @@ this package gets cross-checked.
 
 Ring operations (+, *, partial derivatives) are exact over the integers.
 A term map {exponent_tuple: coefficient} never stores zero coefficients,
-and is not changed once the polynomial has been evaluated.
+and, like a map's coordinates, is not changed once evaluated.
 
-Evaluation goes through one plan per prime, built on the first
-`grad_eval` or `to_univariate` under that prime and cached on the
-polynomial.  A plan holds the terms reduced mod p, by degree: the
-constant; the linear coefficients l; the quadric as the rows of an
-upper-triangular U (value x . Ux) and of M = U + U^T (gradient Mx) for
-each variable in a quadric term; and the terms of degree >= 3, with
-their partials, as sparse lists (c, ((i, k), ...)), read from power
-tables x_i^0 .. x_i^top built by repeated multiplication.
+Evaluation goes through plans built on first use under a prime and cached
+on the object.  A map plan serves `PolyMap.partial_rows`, every sampled
+frame: the distinct monomials that the coordinates and first partials
+read, each one variable times an earlier one, with each output entry a
+sparse sum over them.  A polynomial plan serves `MPoly.grad_eval` and
+`to_univariate`: the terms mod p by degree (constant; linear l; the quadric
+as rows of an upper-triangular U, value x . Ux, and of M = U + U^T,
+gradient Mx; sparse terms of degree >= 3 over power tables x_i^0..x_i^top),
+whose dense quadric rows are cheaper on a quadric in many variables.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ class MPoly:
 
 
 class _Plan:
-    """One polynomial's terms under one prime, grouped by degree (see module doc)."""
+    """One polynomial's terms under one prime, by degree (module doc: why not a _MapPlan)."""
 
     __slots__ = ("const", "lin", "quad", "rest", "partials", "tops")
 
@@ -244,7 +245,7 @@ class _Plan:
 class PolyMap:
     """An ordered tuple of polynomials in shared variables (a coordinate map)."""
 
-    __slots__ = ("nvars", "coords")
+    __slots__ = ("nvars", "coords", "_plans")
 
     def __init__(self, nvars: int, coords: list[MPoly]):
         if not coords:
@@ -255,14 +256,24 @@ class PolyMap:
             raise ValueError("all coordinates identically zero")
         self.nvars = nvars
         self.coords = list(coords)
+        self._plans: dict[int, _MapPlan] = {}
 
     def partial_rows(self, point: list[int], p: int) -> tuple[list[int], list[list[int]]]:
-        """The map's values at `point` and its rows d/dt_j there.
-
-        Both come from one `grad_eval` pass per coordinate.
-        """
-        values, grads = zip(*(c.grad_eval(point, p) for c in self.coords))
-        return list(values), [list(row) for row in zip(*grads)]
+        """The map's values at `point` and its rows d/dt_j there, from this prime's
+        map plan: each monomial they read is evaluated once, by one multiplication."""
+        if len(point) != self.nvars:
+            raise ValueError("point length must equal nvars")
+        plan = self._plans.get(p) or self._plans.setdefault(p, _MapPlan(self, p))
+        m = [1]
+        for low, i in plan.steps:
+            m.append(m[low] * point[i] % p)
+        out = plan.base[:]
+        for at, c, k in plan.ones:
+            out[at] = c * m[k] % p
+        for at, cs, ks in plan.sums:
+            out[at] = sum(map(mul, cs, map(m.__getitem__, ks))) % p
+        w = len(self.coords)
+        return out[:w], [out[at:at + w] for at in range(w, len(out), w)]
 
     def pull_back(self, g: MPoly) -> MPoly:
         """The composite g o self: g's variables replaced by these coordinates."""
@@ -289,6 +300,38 @@ class PolyMap:
                     acc = acc + c * a
             new.append(acc)
         return PolyMap(self.nvars, new)
+
+
+class _MapPlan:
+    """A map's values and first partials under one prime (see module doc)."""
+
+    __slots__ = ("steps", "base", "ones", "sums")
+
+    def __init__(self, fmap: PolyMap, p: int):
+        index, self.steps = {(0,) * fmap.nvars: 0}, []
+
+        def monomial(e: tuple[int, ...]) -> int:
+            if e not in index:  # e is x_i, its first variable, times a lower monomial
+                i = next(i for i, k in enumerate(e) if k)
+                self.steps.append((monomial(e[:i] + (e[i] - 1,) + e[i + 1:]), i))
+                index[e] = len(self.steps)
+            return index[e]
+
+        w = len(fmap.coords)
+        entries = [{} for _ in range((fmap.nvars + 1) * w)]  # row r, coordinate a at r * w + a
+        for a, f in enumerate(fmap.coords):
+            for e, c in f.terms.items():
+                reads = [(a, e, c)] + [((j + 1) * w + a, e[:j] + (k - 1,) + e[j + 1:], c * k)
+                                       for j, k in enumerate(e) if k]
+                for at, low, coef in reads:
+                    if coef % p:
+                        entries[at][monomial(low)] = coef % p
+        # Monomial 0 is the constant 1: an entry that reads no other is fixed.
+        self.base = [0 if any(d) else d.get(0, 0) for d in entries]
+        self.ones = [(at, c, k) for at, d in enumerate(entries) if len(d) == 1 and any(d)
+                     for k, c in d.items()]
+        self.sums = [(at, tuple(d.values()), tuple(d)) for at, d in enumerate(entries)
+                     if len(d) > 1]
 
 
 # -- monomial bookkeeping ----------------------------------------------------

@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .linalg import PrimeContext, RowReducer
+from .mpoly import PolyMap
 from .variety import NotParametric, ProjectFrom, SampleExhausted, VarietySpec, span_dim
 
 DEFAULT_TRIALS = 5
@@ -57,7 +58,7 @@ class SecantReport:
     trials: int
     primes: list[int]
     agreement: bool
-    # Each prime's chain points and trials, keyed by p.
+    # Each prime's chain points and trials, keyed by p (verify_family drops the trials).
     points: dict[int, list[list[int]]] = field(repr=False, compare=False)
     draws: dict[int, list[Trial]] = field(repr=False, compare=False)
 
@@ -210,19 +211,16 @@ def gauss_fiber_dim(spec: VarietySpec, ctxs: list[PrimeContext],
     point is drawn per prime, and the minimum over primes is reported (rank
     can only drop on unlucky samples).
     """
-    fibers = []
-    for ctx in ctxs:
-        cmap = spec.chart(ctx)  # NotParametric for implicit-backed trees
-        first = [[co.partial(j) for j in range(cmap.nvars)] for co in cmap.coords]
-        fibers.append(_gauss_fiber_once(spec, cmap, first, ctx, rng))
-    return min(fibers)
+    # spec.chart raises NotParametric for implicit-backed trees.
+    return min(_gauss_fiber_once(spec, spec.chart(ctx), ctx, rng) for ctx in ctxs)
 
 
-def _gauss_fiber_once(spec: VarietySpec, cmap, first, ctx: PrimeContext,
+def _gauss_fiber_once(spec: VarietySpec, cmap: PolyMap, ctx: PrimeContext,
                       rng: random.Random) -> int:
-    p = ctx.p
-    c = cmap.nvars
-    n = spec.dim
+    p, c, n = ctx.p, cmap.nvars, spec.dim
+    # The chart's first partials along each t_i; an all-zero one adds no constraint.
+    along = ([co.partial(i) for co in cmap.coords] for i in range(c))
+    first = [PolyMap(c, d) for d in along if any(f.terms for f in d)]
     for _ in range(linalg.SAMPLE_RETRIES):
         t = [rng.randrange(p) for _ in range(c)]
         value, d1 = cmap.partial_rows(t, p)
@@ -233,10 +231,8 @@ def _gauss_fiber_once(spec: VarietySpec, cmap, first, ctx: PrimeContext,
         # j-derivatives are d1 again, zero mod the frame, so only the
         # j-derivatives of d1, the second partials, constrain v.
         constraints = []  # rows of the linear system on directions v
-        for i in range(c):
-            grads = [partials[i].grad_eval(t, p)[1] for partials in first]
-            derivs = [[g[j] for g in grads] for j in range(c)]
-            residuals = [tangent.residual(deriv) for deriv in derivs]
+        for dmap in first:
+            residuals = [tangent.residual(deriv) for deriv in dmap.partial_rows(t, p)[1]]
             constraints += [list(row) for row in zip(*residuals) if any(row)]  # one per coordinate
         # Kernel dimension c - rank, less the chart's c - n fiber directions.
         return n - linalg.rank(constraints, p)

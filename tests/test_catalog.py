@@ -111,6 +111,15 @@ class TestVerifyFamily:
                                 trials=3)
             assert res.passed, (family, res.mismatches)
 
+    def test_chain_trials_are_released(self, ctxs):
+        # verify_all keeps every result: the trials' pivot rows go once the
+        # tangential projection has read them, the chain points stay.
+        entry = build_family("F13", 2, "full")
+        res = verify_family(entry, ctxs, derive_rng(SEED, "vf"), trials=2)
+        assert res.passed and res.tangential.n_k == entry.expected.n_k
+        assert res.scan.top.draws == {}
+        assert all(len(pts) >= 2 * 4 for pts in res.scan.top.points.values())
+
     def test_mismatches_are_surfaced_not_raised(self, ctxs):
         entry = build_family("F13", 2, "full")
         wrong = dataclasses.replace(entry.expected, n_k=1, s_k=9)

@@ -374,6 +374,52 @@ class TestPlanAgainstDense:
                 values = t[:2] + [None] + t[3:]
                 assert f.to_univariate(values, p) == dense_to_univariate(f, values, p)
 
+    @staticmethod
+    def assert_map_matches_dense(fmap: PolyMap, point, p):
+        """partial_rows against dense_grad_eval, coordinate by coordinate."""
+        values, rows = fmap.partial_rows(point, p)
+        assert len(values) == len(fmap.coords) and len(rows) == fmap.nvars
+        for a, f in enumerate(fmap.coords):
+            assert (values[a], [row[a] for row in rows]) == dense_grad_eval(f, point, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 101, P62])
+    def test_map_plan(self, p, rng):
+        for _ in range(20):
+            nv = rng.randrange(1, 5)
+            shared = mixed_poly(nv, p, rng)
+            t0 = MPoly.variable(nv, 0)
+            coords = [
+                shared,
+                shared * 5 + mixed_poly(nv, p, rng),  # shares every monomial of `shared`
+                MPoly.zero(nv),
+                MPoly.monomial(nv, (1,) * nv, 7 * p) + t0,  # a coefficient = 0 mod p
+                MPoly.constant(nv, rng.randrange(-(1 << 63), 1 << 63)),
+            ]
+            if p < 200:  # d/dt0 t0^p = p t0^(p-1) = 0 mod p
+                coords.append(MPoly.monomial(nv, (p,) + (0,) * (nv - 1)) * 3 + t0 * t0)
+            fmap = PolyMap(nv, coords)
+            for _ in range(3):
+                t = [rng.choice((0, rng.randrange(-p, 2 * p))) for _ in range(nv)]
+                self.assert_map_matches_dense(fmap, t, p)
+
+    def test_map_plan_per_prime(self, rng):
+        # One map, its plans cached per prime and reused when the prime comes back.
+        fmap = PolyMap(3, [mixed_poly(3, 5, rng) for _ in range(4)])
+        for _ in range(3):
+            for p in (5, P62, 101):
+                self.assert_map_matches_dense(fmap, [rng.randrange(p) for _ in range(3)], p)
+
+    def test_constant_maps(self):
+        fmap = PolyMap(2, [MPoly.constant(2, 9), MPoly.constant(2, 14), MPoly.zero(2)])
+        assert fmap.partial_rows([3, 4], 7) == ([2, 0, 0], [[0, 0, 0], [0, 0, 0]])
+        assert PolyMap(0, [MPoly.constant(0, -1)]).partial_rows([], 7) == ([6], [])
+
+    def test_map_point_length(self):
+        fmap = PolyMap(2, [parse_poly("x0*x1 + 1", 2)])
+        for point in ([1], [1, 2, 3]):
+            with pytest.raises(ValueError, match="point length"):
+                fmap.partial_rows(point, 7)
+
     def test_zero_and_constant(self):
         assert MPoly.zero(2).grad_eval([3, 4], 7) == (0, [0, 0])
         assert MPoly.zero(2).to_univariate([None, 4], 7) == []

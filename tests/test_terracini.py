@@ -351,7 +351,7 @@ class TestGaussFibers:
             cmap = proj.chart(ctx)
             first = [[co.partial(j) for j in range(cmap.nvars)] for co in cmap.coords]
             ranked.clear()
-            terracini._gauss_fiber_once(proj, cmap, first, ctx, derive_rng(SEED, path, ctx.p))
+            terracini._gauss_fiber_once(proj, cmap, ctx, derive_rng(SEED, path, ctx.p))
             want = _gauss_rows_oracle(proj, cmap, first, ctx, derive_rng(SEED, path, ctx.p))
             assert want and ranked == [want]
 
