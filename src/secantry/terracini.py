@@ -171,7 +171,7 @@ def tangential_projection(spec: VarietySpec, k: int, ctxs: list[PrimeContext], r
     """Measure n_k = dim of the image of a general k-tangential projection.
 
     Reads the trials of `report`, measured to order >= k (default: secant_dim);
-    a report measured to a lower order raises ValueError.
+    a report of lower order or with no trials under a prime of `ctxs` raises ValueError.
     By Terracini's lemma n_k = chain[k] - s^(k-1) - 1 on a trial whose first k
     frames reach the accepted s^(k-1) + 1 (Chiantini-Ciliberto, Weakly
     defective varieties, Trans. AMS 354 (2002)); only such full-rank centers
@@ -184,6 +184,8 @@ def tangential_projection(spec: VarietySpec, k: int, ctxs: list[PrimeContext], r
     report = report or secant_dim(spec, k, ctxs, rng)
     if report.k < k:
         raise ValueError(f"report measured to order {report.k}; n_{k} needs order {k}")
+    if any(ctx.p not in report.draws for ctx in ctxs):
+        raise ValueError("report holds no trials under some prime; measure it with secant_dim")
     s = report.chain[k - 1]
     if s >= report.r:
         raise ValueError("tangent span fills the span of the variety; nothing to project")
@@ -228,12 +230,10 @@ def _gauss_fiber_once(spec: VarietySpec, cmap: PolyMap, ctx: PrimeContext,
         if tangent.rank != n + 1:
             continue
         # The frame holds the value and its first partials d1.  The value's
-        # j-derivatives are d1 again, zero mod the frame, so only the
-        # j-derivatives of d1, the second partials, constrain v.
-        constraints = []  # rows of the linear system on directions v
-        for dmap in first:
-            residuals = [tangent.residual(deriv) for deriv in dmap.partial_rows(t, p)[1]]
-            constraints += [list(row) for row in zip(*residuals) if any(row)]  # one per coordinate
+        # j-derivatives are d1 again, zero mod the frame, so only the j-derivatives
+        # of d1, the second partials, constrain v: one row per t_i and coordinate.
+        residuals = [[tangent.residual(d) for d in dmap.partial_rows(t, p)[1]] for dmap in first]
+        constraints = [list(row) for res in residuals for row in zip(*res) if any(row)]
         # Kernel dimension c - rank, less the chart's c - n fiber directions.
         return n - linalg.rank(constraints, p)
     raise SampleExhausted(f"Gauss map: {linalg.SAMPLE_RETRIES} chart points of frame rank < {n + 1}")

@@ -12,6 +12,7 @@ from secantry.catalog import (FAMILIES, FAMILY_DOMAINS, FAMILY_VARIANTS,
                               Expected, NotConstructible, SkippedFamily,
                               build_family, verify_all, verify_family)
 from secantry.linalg import derive_rng
+from secantry.terracini import tangential_projection
 from secantry.variety import spec_hash
 
 from seeds import SEED
@@ -119,6 +120,10 @@ class TestVerifyFamily:
         assert res.passed and res.tangential.n_k == entry.expected.n_k
         assert res.scan.top.draws == {}
         assert all(len(pts) >= 2 * 4 for pts in res.scan.top.points.values())
+        # So the report cannot feed another projection, and says why.
+        with pytest.raises(ValueError, match="no trials"):
+            tangential_projection(entry.spec, 2, ctxs, derive_rng(SEED, "vf2"),
+                                  report=res.scan.top)
 
     def test_mismatches_are_surfaced_not_raised(self, ctxs):
         entry = build_family("F13", 2, "full")

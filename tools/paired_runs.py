@@ -1,11 +1,12 @@
 """Time two source trees against each other in alternating pairs of benchmark runs.
 
     python3 tools/paired_runs.py PARENT_TREE CHANGE_TREE --workload W [--workload W2 ...] \
-        --pairs N --seed0 S --out BENCH.json [--seconds SECONDS]
+        --pairs N --seed0 S --out BENCH.json
 
 Pair i of a workload runs `perfbench/run.py --workload W --seed S+i
---seconds SECONDS --trace 0` once on each tree, one after the other: the
-parent first in even pairs, the change first in odd ones.  Every run starts
+--seconds R --trace 0` once on each tree, one after the other, R being
+the `run_seconds` of CHANGE_TREE's `BENCHMARK.json`: the parent first in
+even pairs, the change first in odd ones.  Every run starts
 from a fresh copy of its tree (no `.git`, bytecode or `.perfbench`), in a
 fresh interpreter with `PYTHONDONTWRITEBYTECODE=1` and no `PYTHONPATH`, so
 neither tree's import reads bytecode that the other run, or an earlier one,
@@ -19,10 +20,8 @@ to, per end-to-end metric, both trees' medians and quartiles
 median over parent median, less 1), `change_better_pairs` (in the
 direction CHANGE_TREE's `BENCHMARK.json` gives) and
 `median_gap_over_parent_iqr` (the medians' gap in that direction over the
-parent's quartile distance).  SECONDS defaults to that file's `run_seconds`.
-The output file is rewritten after every pair; workloads already in it that
-this call does not run are kept.  Exits 0 when every run printed a correct
-result.
+parent's quartile distance).  The output file is written afresh and
+rewritten after every pair.  Exits 0 when every run printed a correct result.
 """
 
 from __future__ import annotations
@@ -100,23 +99,20 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seed0", type=int, required=True)
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--seconds", type=float)
     args = ap.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     lower_is_better = {m["name"]: m["better"] == "lower" for m in bench["end_to_end"]}
-    if args.seconds is None:
-        args.seconds = bench["run_seconds"]
-    doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
-    doc.update({
-        "command": "python3 perfbench/run.py --workload W --seed S --seconds "
-                   f"{args.seconds:g} --trace 0",
+    seconds = bench["run_seconds"]
+    doc = {
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
         "host": f"{os.cpu_count()} CPUs, Python {platform.python_version()}",
         "order": "pair i runs at seed seed0 + i, the parent first in even pairs and the "
                  "change first in odd ones; every run starts from a fresh copy of its tree "
                  "with no compiled bytecode (PYTHONDONTWRITEBYTECODE=1); quartiles by "
                  "statistics.quantiles(n=4, method='inclusive')",
-    })
+        "runs": {}, "summary": {},
+    }
     ok = True
     for workload in args.workload:
         pairs = []
@@ -125,11 +121,11 @@ def main(argv: list[str]) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_once(trees[side], workload, seed, args.seconds)
+                pair[side] = run_once(trees[side], workload, seed, seconds)
                 ok &= pair[side]["correct"]
             pairs.append(pair)
-            doc.setdefault("runs", {})[workload] = pairs
-            doc.setdefault("summary", {})[workload] = summarize(pairs, lower_is_better)
+            doc["runs"][workload] = pairs
+            doc["summary"][workload] = summarize(pairs, lower_is_better)
             wall = {side: pair[side]["metrics"].get("wall_s", {}).get("value")
                     for side in order}
             print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: wall_s parent "
