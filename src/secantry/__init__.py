@@ -15,9 +15,8 @@ from .linalg import (PrimeContext, derive_rng, is_prime_u64, kernel_basis,
                      make_contexts, random_prime, rank, row_basis)
 from .mpoly import MPoly, PolyMap, parse_poly, poly_str, random_poly
 from .terracini import (ContactShape, SecantReport, TangentialReport,
-                        contact_shape, defect, expected_secant_dim,
-                        gauss_fiber_dim, min_defective_scan, secant_dim,
-                        tangential_projection)
+                        contact_shape, expected_secant_dim, gauss_fiber_dim,
+                        min_defective_scan, secant_dim, tangential_projection)
 from .variety import (CenterContainsVariety, NoRootFound, NotParametric,
                       PointFrame, SampleExhausted, VarietySpec, center_in_span,
                       center_on_points, cone_over, cone_section, fibered_join,

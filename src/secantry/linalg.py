@@ -9,12 +9,14 @@ the maximum observed value across primes and trials is the accepted one.
 
 Field elements are plain ints in [0, p); a matrix is a list of rows.
 
-RowReducer reduces lazily: a pivot step reads one coefficient c mod p, adds
-`(p - c) * pivot` unreduced, and the row is reduced once, at the end.  A step
-adds under p**2 to an entry, in at most `width` steps.  A row wider than
-PACK_MIN_WIDTH is one packed int, column i in bits [i*s, (i+1)*s) and slots
-from [0, p), so slots stay below width*p**2 + p < 2**s and never carry for
-s >= 2*p.bit_length() + width.bit_length() + 1.  Narrower rows stay lists.
+RowReducer reduces lazily: a pivot step reads one coefficient c mod p and adds
+`(p - c) * pivot` unreduced from the pivot column on, as a pivot row is zero
+left of it; `_reduce` leaves entries unreduced, and `residual` and `add`
+reduce each entry once.  A step adds under p**2 to an entry, in at most
+`width` steps.  A row wider than PACK_MIN_WIDTH is one packed int, column i in
+bits [i*s, (i+1)*s) and slots from [0, p), so slots stay below width*p**2 + p
+< 2**s and never carry for s >= 2*p.bit_length() + width.bit_length() + 1.
+Narrower rows stay lists.
 """
 
 from __future__ import annotations
@@ -126,8 +128,8 @@ class RowReducer:
     def _pack(self, r: list[int]) -> int:
         return int.from_bytes(b"".join(a.to_bytes(self._nbytes, "little") for a in r), "little")
 
-    def residual(self, row: list[int]) -> list[int]:
-        """Reduce `row` against the stored pivot rows; result has zeros in pivot columns."""
+    def _reduce(self, row: list[int]) -> list[int]:
+        """`row` less its combination of the stored pivot rows, entries unreduced."""
         if len(row) != self._width:
             if self._width is not None:
                 raise ValueError(f"row of width {len(row)} in a span of width {self._width}")
@@ -136,28 +138,31 @@ class RowReducer:
                 self._nbytes = -(-(2 * self.p.bit_length() + n.bit_length() + 1) // 8)
         p, nbytes = self.p, self._nbytes
         if not nbytes:
-            r = row
+            r = list(row)
             for col, prow in self.pivots.items():
-                c = r[col] % p
+                c = -r[col] % p
                 if c:
-                    r = [a + (p - c) * b for a, b in zip(r, prow)]
-            return [a % p for a in r]
+                    r[col:] = [a + c * b for a, b in zip(r[col:], prow[col:])]
+            return r
         packed, mask = self._pack([a % p for a in row]), (1 << 8 * nbytes) - 1
         for shift, prow in self._packed:
             c = (packed >> shift & mask) % p
             if c:
                 packed += (p - c) * prow
         raw = packed.to_bytes(nbytes * len(row), "little")
-        return [int.from_bytes(raw[i:i + nbytes], "little") % p
-                for i in range(0, len(raw), nbytes)]
+        return [int.from_bytes(raw[i:i + nbytes], "little") for i in range(0, len(raw), nbytes)]
+
+    def residual(self, row: list[int]) -> list[int]:
+        """Reduce `row` against the stored pivot rows; result has zeros in pivot columns."""
+        return [a % self.p for a in self._reduce(row)]
 
     def add(self, row: list[int]) -> bool:
         """Fold a row in; return True when it increased the rank."""
-        r = self.residual(row)
+        r, p = self._reduce(row), self.p
         for col, val in enumerate(r):
-            if val:
-                inv = pow(val, -1, self.p)
-                prow = self.pivots[col] = [a * inv % self.p for a in r]
+            if val % p:
+                inv = pow(val, -1, p)
+                prow = self.pivots[col] = [0] * col + [a * inv % p for a in r[col:]]
                 if self._nbytes:
                     self._packed.append((8 * self._nbytes * col, self._pack(prow)))
                 return True

@@ -144,12 +144,6 @@ def secant_dim(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
                         agreement=agreement, points=points, draws=draws)
 
 
-def defect(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
-           rng: random.Random, trials: int = DEFAULT_TRIALS) -> int:
-    """The k-defect: expected minus measured secant dimension (0 when filling)."""
-    return secant_dim(spec, k, ctxs, rng, trials).delta_k
-
-
 def min_defective_scan(spec: VarietySpec, k_max: int, ctxs: list[PrimeContext],
                        rng: random.Random, trials: int = DEFAULT_TRIALS) -> ScanResult:
     """Find the smallest k <= k_max at which the variety is defective.
@@ -175,8 +169,10 @@ def tangential_projection(spec: VarietySpec, k: int, ctxs: list[PrimeContext], r
     By Terracini's lemma n_k = chain[k] - s^(k-1) - 1 on a trial whose first k
     frames reach the accepted s^(k-1) + 1 (Chiantini-Ciliberto, Weakly
     defective varieties, Trans. AMS 354 (2002)); only such full-rank centers
-    count, so the maximum errs low.  Each prime projects from the first k
-    frames of its best such trial; projected_spec reached the maximum, the
+    count, so n_k errs only low when the accepted s^(k-1) is correct, as it is
+    when it reaches min(R, n*k + k - 1), R the ambient dimension.  Below that
+    an s^(k-1) read low can read n_k high.  Each prime projects from the first
+    k frames of its best such trial; projected_spec reached the maximum, the
     first prime's on a tie, and is bound to its prime.
     """
     if k < 1:

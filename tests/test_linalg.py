@@ -406,6 +406,40 @@ class TestLazyListElimination:
         check_worst_case_growth(PACK_MIN_WIDTH, full_rank)
 
 
+class TestTailSteps:
+    """A pivot step touches only the row from the pivot column on, on a copy of
+    the caller's row, and each entry is reduced once: on both paths, against
+    the eager oracle."""
+
+    WIDTHS = [7, PACK_MIN_WIDTH + 1]
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("p", [101, 3612720013493706217])
+    def test_caller_rows_unchanged(self, p, width):
+        rng = derive_rng(SEED, "caller-rows", p, width)
+        red, oracle = RowReducer(p), ListReducer(p)
+        for row in packed_path_rows(rng, p, width, nrows=4):
+            kept = list(row)
+            assert red.residual(row) == oracle.residual(row) and row == kept
+            assert red.contains(row) == (not any(oracle.residual(row))) and row == kept
+            assert red.add(row) == oracle.add(row) and row == kept
+        assert list(red.pivots.items()) == list(oracle.pivots.items())
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("p", [101, 3612720013493706217])
+    def test_pivot_after_multiples_of_p(self, p, width):
+        # Column 2 is the first entry nonzero mod p: raw, after p and -2p; and
+        # after the step against `first`, after 2 + (p - 2) = p and 6 + 3(p - 2) = 3p.
+        rng = derive_rng(SEED, "multiples-of-p", p, width)
+        tail = [rng.randrange(-p, 2 * p) for _ in range(width - 3)]
+        first = [1, 3] + [0] * (width - 2)
+        for rows in ([[p, -2 * p, 5] + tail], [first, [2, 6, -5] + tail]):
+            red, oracle = RowReducer(p), ListReducer(p)
+            for row in rows:
+                assert (red.add(row), oracle.add(row)) == (True, True)
+            assert list(red.pivots.items()) == list(oracle.pivots.items())
+            assert red.pivots[2][:3] == [0, 0, 1]
+
 def dense_mat_vec(mat, vec, p):
     """Oracle: one dot product per output coordinate."""
     return [sum(a * b for a, b in zip(row, vec)) % p for row in mat]

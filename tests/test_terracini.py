@@ -10,7 +10,7 @@ import pytest
 from secantry import linalg, terracini, uniroots
 from secantry.catalog import build_family, verify_family
 from secantry.linalg import RowReducer, derive_rng, make_contexts
-from secantry.terracini import (contact_shape, defect, expected_secant_dim,
+from secantry.terracini import (contact_shape, expected_secant_dim,
                                 gauss_fiber_dim, min_defective_scan,
                                 secant_dim, tangential_projection)
 from secantry.mpoly import parse_poly
@@ -147,12 +147,12 @@ class TestSpanReuse:
 class TestDefect:
     def test_linear_space_never_defective(self, ctxs, rng):
         for k in (1, 2, 3):
-            assert defect(projective_space(2), k, ctxs, rng, trials=2) == 0
+            assert secant_dim(projective_space(2), k, ctxs, rng, trials=2).delta_k == 0
 
     def test_bilinear_by_cubics_embedding(self, ctxs, rng):
         # P^1 x P^2 by divisors of bidegree (1,3): 3-defect 0, 4-defect 1.
         spec = segre_pair(projective_space(1), veronese(projective_space(2), 3))
-        assert defect(spec, 3, ctxs, rng, trials=3) == 0
+        assert secant_dim(spec, 3, ctxs, rng, trials=3).delta_k == 0
         rep = secant_dim(spec, 4, ctxs, rng, trials=3)
         assert rep.delta_k == 1 and rep.chain[4] == 18
 
