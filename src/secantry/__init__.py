@@ -17,7 +17,7 @@ from .mpoly import MPoly, PolyMap, parse_poly, poly_str, random_poly
 from .terracini import (ContactShape, SecantReport, TangentialReport,
                         contact_shape, expected_secant_dim, gauss_fiber_dim,
                         min_defective_scan, secant_dim, tangential_projection)
-from .variety import (CenterContainsVariety, NoRootFound, NotParametric,
+from .variety import (CenterContainsVariety, CenterDependent, NoRootFound, NotParametric,
                       PointFrame, SampleExhausted, VarietySpec, center_in_span,
                       center_on_points, cone_over, cone_section, fibered_join,
                       hypersurface, join_linear, loads_spec, dumps_spec,

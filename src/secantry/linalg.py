@@ -224,21 +224,14 @@ def kernel_columns(kmap: list[list[int]]) -> tuple[list[int], list[tuple[int, li
     return free, [(c, list(col)) for c, col in enumerate(zip(*kmap)) if c not in free and any(col)]
 
 
-def kernel_apply(form: tuple, ys: list, p: int) -> list:
-    """K . ys mod p for K in `kernel_columns` form; ys is a vector, or a list
-    of rows (output row i then combines the rows by row i of K)."""
+def kernel_apply(form: tuple, ys: list[int], p: int) -> list[int]:
+    """K . ys mod p for K in `kernel_columns` form."""
     free, cols = form
     out = [ys[f] for f in free]
-    if isinstance(ys[0], int):
-        for c, col in cols:
-            y = ys[c]
-            if y:
-                out = [a + k * y for a, k in zip(out, col)]
-        return [a % p for a in out]
     for c, col in cols:
-        y = ys[c]
-        out = [[a + k * b for a, b in zip(o, y)] if k else o for o, k in zip(out, col)]
-    return [[a % p for a in o] for o in out]
+        if y := ys[c]:
+            out = [a + k * y for a, k in zip(out, col)]
+    return [a % p for a in out]
 
 
 def mat_vec(mat: list[list[int]], vec: list[int], p: int) -> list[int]:

@@ -69,6 +69,10 @@ class CenterContainsVariety(SampleExhausted):
     """A projection center keeps swallowing every sampled point."""
 
 
+class CenterDependent(SampleExhausted, ValueError):
+    """Projection center rows, independent as loaded, are dependent mod the prime."""
+
+
 class NotParametric(Exception):
     """Operation needs a symbolic chart but the tree has implicit nodes."""
 
@@ -99,8 +103,14 @@ def _pick_root(g: MPoly, values: list[int], j: int, p: int,
 
 
 def _section(rows: list[list[int]], pairing: list[int], p: int) -> list[list[int]]:
-    """The combinations c . rows whose coefficients c are orthogonal to `pairing`."""
-    return linalg.kernel_apply(linalg.kernel_columns(linalg.kernel_basis([pairing], p)), rows, p)
+    """The combinations c . rows with c orthogonal to `pairing`: row f minus pairing[f] /
+    pairing[j] times row j for f != j, j its first entry nonzero mod p; with no j, every row."""
+    j = next((f for f, a in enumerate(pairing) if a % p), None)
+    if j is None:
+        return [[a % p for a in row] for row in rows]
+    inv = pow(pairing[j], -1, p)
+    return [[(a + c * b) % p for a, b in zip(row, rows[j])]
+            for f, row in enumerate(rows) if f != j for c in [-pairing[f] * inv % p]]
 
 
 class PointFrame(NamedTuple):
@@ -350,7 +360,7 @@ class ProjectFrom(VarietySpec):
             raise ValueError("this projection is bound to a different prime")
         kmap = linalg.kernel_basis(self.center, ctx.p)
         if len(kmap) != self.ambient + 1:
-            raise ValueError("projection center rows are dependent mod p")
+            raise CenterDependent("projection center rows are dependent mod p")
         return kmap
 
     def kernel_form(self, ctx: PrimeContext) -> tuple:
@@ -767,9 +777,9 @@ class SpecParseError(ValueError):
 
 
 # The largest ambient dimension R a loaded node may have.  hilbert2 reduces
-# rows of C(R+2, 2) quadric columns, at most 2**13 for R <= 126; the cap
-# admits v4(P^5), R = 125, the widest variety the tests measure (the
-# catalog's widest node has R = 48).
+# rows of C(R+2, 2) quadric columns, at most 2**13 for R <= 126, and so sets
+# the cost there: `analyze --k 1` on v4(P^5), R = 125, took 273-395 s, and on
+# v2(P^9), R = 54, with `--k-max 6` 17-25 s (catalog nodes have R <= 48).
 MAX_AMBIENT = 126
 
 

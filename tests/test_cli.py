@@ -181,6 +181,18 @@ class TestAnalyze:
         assert err.startswith("error: sampling failed: Hypersurface: no univariate root")
         assert err.count("\n") == 1, err
 
+    def test_center_dependent_mod_the_run_prime_exit_2(self, tmp_path, capsys):
+        # The loader finds these rows independent modulo 2^61 - 1, but seed
+        # 0's first prime divides the second row's entry: an unlucky prime.
+        p = make_contexts(0)[0].p
+        assert p == 4062959625339910931
+        spec = tmp_path / "unlucky.variety.json"
+        spec.write_text('{"op":"project","center":[[1,0,0,0,0],[1,%d,0,0,0]],'
+                        '"child":{"op":"scroll","degrees":[4]}}' % p)
+        assert run(["analyze", str(spec), "--k", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: sampling failed: projection center rows are dependent mod p\n"
+
     # Each `^` is capped at mpoly.MAX_EXPONENT, but products of capped
     # powers could still expand for minutes, so these run in a subprocess
     # that the timeout stops.

@@ -481,9 +481,6 @@ class TestKernelColumns:
                 assert mat_vec(kmap, vec, p) == dense_mat_vec(kmap, vec, p)
                 assert [kernel_apply(form, row, p) for row in frame] == \
                     dense_apply_map(frame, kmap, p)
-                # Applied to rows, output row i combines the rows by kmap[i].
-                rows = [[rng.randrange(-p, 2 * p) for _ in range(7)] for _ in range(width)]
-                assert kernel_apply(form, rows, p) == dense_apply_map(kmap, list(zip(*rows)), p)
 
     @pytest.mark.parametrize("p", [2, 101, 3612720013493706217])
     def test_section_edge_cases(self, p):

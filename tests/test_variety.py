@@ -489,7 +489,7 @@ class TestSerialization:
             loads_spec('{"op": "hypersurface", "m": 2}')
 
     def test_ambient_cap_admits_v4_p5(self):
-        # v4(P^5), the widest variety the tests measure, loads with its hash;
+        # v4(P^5), the widest variety the tests load, loads with its hash;
         # one ambient dimension past the cap does not.
         spec = veronese(projective_space(5), 4)
         assert spec.ambient == 125 <= MAX_AMBIENT

@@ -1,27 +1,30 @@
-"""Time two source trees against each other in alternating pairs of benchmark runs.
+"""Compare two source trees: traced operation counts, then alternating pairs of timed runs.
 
-    python3 tools/paired_runs.py PARENT_TREE CHANGE_TREE --workload W [--workload W2 ...] \
+    python3 tools/paired_runs.py PARENT_TREE CHANGE_TREE [--workload W ...] \
         --pairs N --seed0 S --out BENCH.json
 
-Pair i of a workload runs `perfbench/run.py --workload W --seed S+i
---seconds R --trace 0` once on each tree, one after the other, R being
-the `run_seconds` of CHANGE_TREE's `BENCHMARK.json`: the parent first in
-even pairs, the change first in odd ones.  Every run starts
-from a fresh copy of its tree (no `.git`, bytecode or `.perfbench`), in a
-fresh interpreter with `PYTHONDONTWRITEBYTECODE=1` and no `PYTHONPATH`, so
-neither tree's import reads bytecode that the other run, or an earlier one,
-left behind.  Each tree benchmarks itself with its own `perfbench/run.py`.
+For each workload (default: each one in CHANGE_TREE's `BENCHMARK.json`), each
+tree first runs `perfbench/run.py --workload W --seed 1 --seconds 0 --trace 1`.
+Every `count` or `ratio` metric whose value differs is printed (except
+`run.trace_overhead_frac`, a quotient of pass times), then how many are
+identical.  Then pair i runs `--seed S+i --seconds R --trace 0` on each tree,
+R being the `run_seconds` of CHANGE_TREE's `BENCHMARK.json`, the parent first
+in even pairs and the change first in odd ones; `--pairs 0` runs no pair.
+Every run starts from a fresh copy of its tree (no `.git`, bytecode or
+`.perfbench`) in a fresh interpreter with `PYTHONDONTWRITEBYTECODE=1` and no
+`PYTHONPATH`, so no run reads bytecode that another left behind or writes
+into either tree.  Each tree benchmarks itself with its own `perfbench/run.py`.
 
-The output has the layout of the repo's `BENCH_<tag>.json` files: `runs`
-maps each workload to its pairs (`seed`, `first`, and each tree's
-`attempted`, `correct`, `exit`, `failed` and `metrics`), and `summary` maps it
-to, per end-to-end metric, both trees' medians and quartiles
-(`statistics.quantiles(n=4, method="inclusive")`), `rel_change` (change
-median over parent median, less 1), `change_better_pairs` (in the
-direction CHANGE_TREE's `BENCHMARK.json` gives) and
-`median_gap_over_parent_iqr` (the medians' gap in that direction over the
-parent's quartile distance).  The output file is written afresh and
-rewritten after every pair.  Exits 0 when every run printed a correct result.
+The output has the layout of the repo's `BENCH_<tag>.json` files:
+`trace_seed_1` maps each workload to both trees' traced results; `runs` maps
+it to its pairs (`seed`, `first`, and each tree's `attempted`, `correct`,
+`exit`, `failed` and `metrics`); `summary` maps it to, per end-to-end metric,
+both trees' medians and quartiles (`statistics.quantiles(n=4,
+method="inclusive")`), `rel_change` (change median over parent median, less
+1), `change_better_pairs` (in the direction CHANGE_TREE's `BENCHMARK.json`
+gives) and `median_gap_over_parent_iqr` (the medians' gap in that direction
+over the parent's quartile distance).  The file is rewritten after each
+result.  Exits 0 when every run was correct and no count or ratio differs.
 """
 
 from __future__ import annotations
@@ -38,9 +41,10 @@ import tempfile
 from pathlib import Path
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", "*.pyc", ".perfbench", ".pytest_cache")
+TIMED = {"run.trace_overhead_frac"}  # filed under `ratio`, but a quotient of pass times
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One benchmark run on a fresh copy of `tree`: its result line plus `exit`."""
     with tempfile.TemporaryDirectory(prefix="paired-") as tmp:
         copy = Path(tmp) / "tree"
@@ -48,12 +52,23 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
         env.pop("PYTHONPATH", None)  # run.py imports the library from the copy itself
         proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                               "--seed", str(seed), "--seconds", str(seconds),
+                               "--trace", str(trace)],
                               cwd=copy, env=env, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if proc.returncode == 0 and lines else \
         {"attempted": 0, "correct": False, "failed": 0, "metrics": {}}
     return {**result, "exit": proc.returncode}
+
+
+def count_differences(parent: dict, change: dict) -> tuple[list[str], int]:
+    """`name: parent -> change` for each `count` or `ratio` metric whose value differs
+    between two runs' metrics (None where one run lacks it), and how many such
+    metrics the two reported."""
+    names = sorted(name for name in parent.keys() | change.keys() if name not in TIMED and
+                   (parent.get(name) or change.get(name))["unit"] in ("count", "ratio"))
+    values = {name: [m.get(name, {}).get("value") for m in (parent, change)] for name in names}
+    return [f"{name}: {a} -> {b}" for name, (a, b) in values.items() if a != b], len(names)
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -95,7 +110,7 @@ def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--workload", action="append")
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seed0", type=int, required=True)
     ap.add_argument("--out", type=Path, required=True)
@@ -106,15 +121,31 @@ def main(argv: list[str]) -> int:
     seconds = bench["run_seconds"]
     doc = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
+        "trace_command": "python3 perfbench/run.py --workload W --seed 1 --seconds 0 --trace 1",
         "host": f"{os.cpu_count()} CPUs, Python {platform.python_version()}",
-        "order": "pair i runs at seed seed0 + i, the parent first in even pairs and the "
-                 "change first in odd ones; every run starts from a fresh copy of its tree "
-                 "with no compiled bytecode (PYTHONDONTWRITEBYTECODE=1); quartiles by "
-                 "statistics.quantiles(n=4, method='inclusive')",
-        "runs": {}, "summary": {},
+        "order": "each workload's traced runs come first; pair i runs at seed seed0 + i, the "
+                 "parent first in even pairs and the change first in odd ones; every run starts "
+                 "from a fresh copy of its tree without bytecode (PYTHONDONTWRITEBYTECODE=1); "
+                 "quartiles by statistics.quantiles(n=4, method='inclusive')",
+        "trace_seed_1": {}, "runs": {}, "summary": {},
     }
+
+    def write() -> None:
+        args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+
     ok = True
-    for workload in args.workload:
+    for workload in args.workload or [w["name"] for w in bench["workloads"]]:
+        traced = {side: run_once(trees[side], workload, 1, 0, trace=1)
+                  for side in ("parent", "change")}
+        doc["trace_seed_1"][workload] = traced
+        write()
+        diffs, total = count_differences(traced["parent"]["metrics"], traced["change"]["metrics"])
+        for line in diffs:
+            print(f"{workload} {line}")
+        wrong = [side for side, res in traced.items() if not res["correct"]]
+        print(f"{workload}: {total - len(diffs)} of {total} counts and ratios identical"
+              + "".join(f"; the {side} traced run was not correct" for side in wrong))
+        ok &= not diffs and not wrong
         pairs = []
         for i in range(args.pairs):
             seed = args.seed0 + i
@@ -126,12 +157,10 @@ def main(argv: list[str]) -> int:
             pairs.append(pair)
             doc["runs"][workload] = pairs
             doc["summary"][workload] = summarize(pairs, lower_is_better)
-            wall = {side: pair[side]["metrics"].get("wall_s", {}).get("value")
-                    for side in order}
+            wall = {side: pair[side]["metrics"].get("wall_s", {}).get("value") for side in order}
             print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: wall_s parent "
                   f"{wall['parent']} change {wall['change']}", file=sys.stderr)
-            args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
-                                encoding="utf-8")
+            write()
     return 0 if ok else 1
 
 

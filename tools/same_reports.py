@@ -5,13 +5,11 @@
 Runs one set of CLI commands against each tree and compares every
 command's exit code, stdout and stderr.  The set:
 
-* the golden commands (`COMMANDS`) of CHANGE_TREE's
-  `tests/test_golden_reports.py`;
+* the golden commands (`COMMANDS`) of CHANGE_TREE's `tests/test_golden_reports.py`;
 * `catalog verify-all --k-range 2..4` at seeds 0, 1 and 2;
-* `analyze` on the benchmark's 18 spec files at seeds 0 and 1: the
-  shipped specs and one generated file per constructible k = 2 catalog
-  entry, as `perfbench/workloads.py`'s `analyze_cases` builds them with
-  that tree's own library.
+* `analyze` on the benchmark's 18 spec files at seeds 0 and 1: the shipped specs
+  and one generated file per constructible k = 2 catalog entry, as that tree's
+  `perfbench/workloads.py` `analyze_cases` builds them with its own library.
 
 Each tree runs in its own fresh interpreter, with `PYTHONDONTWRITEBYTECODE=1`
 and only that tree's `src` on `PYTHONPATH`; the two run side by side.  A

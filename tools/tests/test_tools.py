@@ -77,3 +77,30 @@ class TestDifferences:
     def test_identical_runs(self):
         run = {"exit": 0, "stdout": "x\n", "stderr": ""}
         assert same_reports._differences({"a": run}, {"a": dict(run)}) == []
+
+
+def metric(value: float, unit: str = "count") -> dict:
+    return {"value": value, "unit": unit}
+
+
+class TestCountDifferences:
+    def test_skips_times_and_the_trace_overhead(self):
+        parent = {"add.calls": metric(5), "add.self_s": metric(0.5, "s"),
+                  "run.trace_overhead_frac": metric(0.06, "ratio")}
+        change = {"add.calls": metric(5), "add.self_s": metric(0.4, "s"),
+                  "run.trace_overhead_frac": metric(0.02, "ratio")}
+        assert paired_runs.count_differences(parent, change) == ([], 1)
+
+    def test_lists_each_differing_count_or_ratio(self):
+        parent = {"add.calls": metric(5), "add.useful_ratio": metric(0.5, "ratio"),
+                  "add.gone": metric(2), "add.ratio_moved": metric(0.25, "ratio")}
+        change = {"add.calls": metric(6), "add.useful_ratio": metric(0.5, "ratio"),
+                  "add.new": metric(1), "add.ratio_moved": metric(0.5, "ratio")}
+        assert paired_runs.count_differences(parent, change) == (
+            ["add.calls: 5 -> 6", "add.gone: 2 -> None", "add.new: None -> 1",
+             "add.ratio_moved: 0.25 -> 0.5"], 5)
+
+    def test_identical_metrics(self):
+        parent = {"add.calls": metric(5), "add.useful_ratio": metric(0.5, "ratio"),
+                  "add.self_s": metric(0.1, "s")}
+        assert paired_runs.count_differences(parent, dict(parent)) == ([], 2)
