@@ -41,14 +41,22 @@ def hilbert2(spec: VarietySpec, ctxs: list[PrimeContext], rng: random.Random,
              points: dict[int, list[list[int]]] | None = None) -> int:
     """h_X(2) = h_{v2(X)}(1) of an irreducible X: the rank of v2 at points of X.
 
-    Per prime p, reads `points[p]` (points of X, such as `SecantReport.points`)
-    first, then fresh samples, until the rank is full, STALL points in a row
-    add no rank, or C(R+2, 2) + STALL points (R+1 coordinates) were read;
-    the maximum across primes is reported.
+    Per prime p, one RowReducer takes two phases; the maximum across primes
+    is reported.  Tangent phase: the n+1 rows x.v (v over the frame of a
+    fresh sample x) until the rank is full or a row adds nothing.  Point
+    phase: v2(q) for q in `points[p]` (points of X, such as
+    `SecantReport.points`), then fresh samples, until the rank is full,
+    STALL points in a row add no rank, or C(R+2, 2) + STALL points (R+1
+    coordinates) were read.
 
-    The stall stop needs X irreducible, as Terracini's lemma does.  Below
-    rank h2, some nonzero quadric on X vanishes at every point read, and a
-    general point of X is no zero of it, so each general point raises the
+    No row x.v lifts the rank past h2: B_Q(x, v) = 0 for every quadric Q on
+    X and v tangent to the cone at x, so x.v lies in span v2(X).  The
+    tangent spaces of v2(X) hold v2(x), so at general points they span
+    v2(X); where they meet (a tangentially defective v2(X), such as
+    v2(P^2)) the point phase ends the count.  Its stall stop reads point
+    rows alone and needs X irreducible, as Terracini's lemma does.
+    Below rank h2, some nonzero quadric on X vanishes at every row read, and
+    a general point of X is no zero of it, so each general point raises the
     rank by one up to h2.  A stall below h2 takes STALL unlucky points in a
     row: an error that only lowers the rank, like every other the maxima
     absorb.  On a reducible X, points can stall on one component.
@@ -58,10 +66,15 @@ def hilbert2(spec: VarietySpec, ctxs: list[PrimeContext], rng: random.Random,
     ncols = v2.ambient + 1
     for ctx in ctxs:
         p = ctx.p
+        frames = (spec.sample(ctx, rng) for _ in itertools.count())
+        tangent = (row for pf in frames for row in v2.push(pf.point, pf.frame, p).frame)
+        red = fold(tangent, p, ncols, 1)
         drawn = (points or {}).get(p, ())
         fresh = (spec.sample(ctx, rng).point for _ in range(ncols + STALL - len(drawn)))
         rows = (v2.push(q, (), p).point for q in itertools.chain(drawn, fresh))
-        best = max(best, fold(rows, p, ncols, STALL).rank)
+        if red.rank < ncols:
+            fold(rows, p, ncols, STALL, red)
+        best = max(best, red.rank)
     return best
 
 

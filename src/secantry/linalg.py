@@ -173,11 +173,10 @@ class RowReducer:
 
 
 def fold(rows: Iterable[list[int]], p: int, full: int | None = None,
-         stall: int | None = None) -> RowReducer:
-    """A RowReducer holding the span of `rows`, read lazily until its rank is
-    `full` or `stall` consecutive rows have added nothing to it."""
-    red = RowReducer(p)
-    idle = 0
+         stall: int | None = None, red: RowReducer | None = None) -> RowReducer:
+    """`red` (a new RowReducer by default) with `rows` folded in, read lazily
+    until its rank is `full` or `stall` consecutive rows have added nothing."""
+    red, idle = red or RowReducer(p), 0
     for row in rows:
         idle = 0 if red.add(row) else idle + 1
         if red.rank == full or idle == stall:

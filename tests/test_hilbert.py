@@ -6,13 +6,14 @@ from collections import Counter
 
 import pytest
 
+from secantry import catalog
 from secantry.hilbert import (MinimalDegreeViolated, castelnuovo_bound,
                               check_quadric_bounds, hilbert2, hilbert_report)
 from secantry.linalg import derive_rng, make_contexts
 from secantry.mpoly import parse_poly, random_poly
-from secantry.variety import (VarietySpec, cone_over, hypersurface, project_from,
-                              projective_space, random_center,
-                              rational_normal_curve, scroll, veronese)
+from secantry.variety import (VarietySpec, cone_over, hypersurface, on_quadric,
+                              project_from, projective_space, random_center,
+                              rational_normal_curve, scroll, segre_pair, veronese)
 
 from seeds import SEED
 
@@ -70,39 +71,54 @@ class TestHilbert2Stops:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_full_rank_stops_at_the_last_column(self, ctxs, rng, monkeypatch, n):
+        # The tangent phase reads 2 draws: the first one's n+1 rows all add,
+        # and the second one's tangent space meets the first in their span
+        # of x*y, so it adds n rows and then an idle one (on P^1 its n = 1
+        # row reaches all 3 columns first).  That leaves rank 2n + 1, and
+        # each point draw then adds one column up to (n+1)(n+2)/2.
         spec = projective_space(n)
         drawn = self.count_draws(spec, monkeypatch)
         ncols = (n + 1) * (n + 2) // 2
         assert hilbert2(spec, ctxs, rng) == ncols
-        assert drawn == {c.p: ncols for c in ctxs}
+        assert drawn == {c.p: 2 + ncols - (2 * n + 1) for c in ctxs}
 
     def test_stall_stops_after_h2_plus_stall_draws(self, ctxs, rng, monkeypatch):
-        # v_2(P^2) in P^5: h2 = 15 of 21 columns, so the rank stalls at 15
-        # and 8 more draws that add nothing end the prime, 6 short of the
-        # 21 + 8 cap.
+        # v_2(P^2) in P^5: h2 = 15 of 21 columns.  Its image v_4(P^2) is
+        # tangentially defective: 5 tangent planes span 14 columns, not 15,
+        # so the tangent phase ends at the 5th draw's idle third row.  Then
+        # one point draw reaches 15 and 8 more that add nothing end the
+        # prime: 5 + 1 + 8 draws.
         spec = veronese(projective_space(2), 2)
         drawn = self.count_draws(spec, monkeypatch)
         assert hilbert2(spec, ctxs, rng) == 15
-        assert drawn == {c.p: 15 + 8 for c in ctxs}
+        assert drawn == {c.p: 5 + 1 + 8 for c in ctxs}
 
     def test_chain_points_are_read_before_fresh_draws(self, ctxs, rng, monkeypatch):
-        # 10 points leave 15 + 8 - 10 draws to make; 30 points reach the
-        # stall by themselves, so that prime draws nothing.
+        # After the 5 tangent draws at rank 14, the point phase reads the
+        # chain's points first.  3 points reach 15 and leave 2 idle, so 6
+        # fresh draws end the stall; 30 points stall by themselves, so
+        # that prime draws no fresh point.
         spec = veronese(projective_space(2), 2)
         points = {c.p: [spec.sample(c, rng).point for _ in range(n)]
-                  for c, n in zip(ctxs, (10, 30))}
+                  for c, n in zip(ctxs, (3, 30))}
         drawn = self.count_draws(spec, monkeypatch)
         assert hilbert2(spec, ctxs, rng, points=points) == 15
-        assert drawn == {ctxs[0].p: 15 + 8 - 10}
+        assert drawn == {ctxs[0].p: 5 + 6, ctxs[1].p: 5}
 
     @pytest.mark.parametrize("stalled", [0, 1])
-    def test_a_stalled_prime_does_not_lower_h2(self, ctxs, rng, stalled):
-        # One point read 30 times stalls that prime's fold at rank 1; h2 is
-        # the maximum over primes, so the other prime's 15 stands.
+    def test_a_stalled_prime_does_not_lower_h2(self, ctxs, rng, monkeypatch, stalled):
+        # One PointFrame drawn over and over stalls that prime at rank 3, its
+        # one tangent plane: the second copy's first row is idle, and 8 copies
+        # of its point add nothing.  h2 is the maximum over primes, so the
+        # other prime's 15 stands.
         spec = veronese(projective_space(2), 2)
         ctx = ctxs[stalled]
-        q = spec.sample(ctx, rng).point
-        assert hilbert2(spec, ctxs, rng, points={ctx.p: [q] * 30}) == 15
+        pf = spec.sample(ctx, rng)
+        sample = VarietySpec.sample
+        monkeypatch.setattr(VarietySpec, "sample", lambda self, c, r:
+                            pf if self is spec and c == ctx else sample(self, c, r))
+        assert hilbert2(spec, [ctx], rng) == 3
+        assert hilbert2(spec, ctxs, rng) == 15
 
     def test_reducible_union_of_two_planes(self):
         # h2 assumes an irreducible X; x0*x1 = 0 in P^3 is two planes, whose
@@ -111,6 +127,33 @@ class TestHilbert2Stops:
         spec = hypersurface(3, parse_poly("x0*x1", 4))
         assert [hilbert2(spec, make_contexts(seed), derive_rng(seed, "reducible"))
                 for seed in range(100)] == [9] * 100
+
+
+TANGENT_CASES = {  # name: (spec, h2 under the 62-bit primes)
+    # Frames from the implicit nodes.  A quadric threefold, as the cubic one
+    # lies on no quadric: its h2 fills all 15 columns and cannot read high.
+    "hypersurface": (lambda: hypersurface(4, parse_poly("x0*x1 + x2*x3 - x4^2", 5)), 14),
+    "cone-section": (lambda: catalog.build_family("F1", 2, "line").spec, 56),
+    # Two quadrics in P^5: 21 - 2.
+    "restricted-chart": (lambda: on_quadric(parse_poly("x0^2 + x1*x3 - x2*x5 + x4^2", 6)), 19),
+    # A fourfold: 5 tangent rows per draw.  36 columns less the 6 2x2 minors.
+    "segre-fourfold": (lambda: segre_pair(projective_space(1), projective_space(3)), 30),
+}
+
+
+class TestHilbert2TangentRows:
+    """The tangent phase's rows x.v lie in span v2(X), so at 5- and 7-bit
+    primes, where unlucky draws are common, h2 may read low but never high."""
+
+    @pytest.mark.parametrize("name", TANGENT_CASES)
+    def test_small_primes_never_exceed_h2(self, name):
+        make, h2 = TANGENT_CASES[name]
+        spec = make()
+        assert hilbert2(spec, make_contexts(SEED), derive_rng(SEED, "tangent", name)) == h2
+        for bits in (5, 7):
+            for seed in range(8):
+                rng = derive_rng(seed, "tangent", name, bits)
+                assert hilbert2(spec, make_contexts(seed, bits=bits), rng) <= h2
 
 
 class TestCastelnuovoBound:

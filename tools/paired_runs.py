@@ -44,11 +44,16 @@ IGNORE = shutil.ignore_patterns(".git", "__pycache__", "*.pyc", ".perfbench", ".
 TIMED = {"run.trace_overhead_frac"}  # filed under `ratio`, but a quotient of pass times
 
 
+def fresh_copy(tree: Path, dest: Path) -> Path:
+    """Copy `tree` to `dest` without `.git`, bytecode, `.perfbench` or `.pytest_cache`."""
+    shutil.copytree(tree, dest, ignore=IGNORE)
+    return dest
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One benchmark run on a fresh copy of `tree`: its result line plus `exit`."""
     with tempfile.TemporaryDirectory(prefix="paired-") as tmp:
-        copy = Path(tmp) / "tree"
-        shutil.copytree(tree, copy, ignore=IGNORE)
+        copy = fresh_copy(tree, Path(tmp) / "tree")
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
         env.pop("PYTHONPATH", None)  # run.py imports the library from the copy itself
         proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,

@@ -11,11 +11,12 @@ command's exit code, stdout and stderr.  The set:
   and one generated file per constructible k = 2 catalog entry, as that tree's
   `perfbench/workloads.py` `analyze_cases` builds them with its own library.
 
-Each tree runs in its own fresh interpreter, with `PYTHONDONTWRITEBYTECODE=1`
-and only that tree's `src` on `PYTHONPATH`; the two run side by side.  A
-golden spec file missing from PARENT_TREE (one added with its golden
-entry) is read from CHANGE_TREE.  Prints each command whose output
-differs, and exits 0 only when none does.
+Each tree runs on a fresh copy (`paired_runs.fresh_copy`: no `.git`,
+bytecode or `.perfbench`) in its own fresh interpreter, with
+`PYTHONDONTWRITEBYTECODE=1` and only that copy's `src` on `PYTHONPATH`; the
+two run side by side.  A golden spec file missing from PARENT_TREE (one
+added with its golden entry) is read from CHANGE_TREE's copy.  Prints each
+command whose output differs, and exits 0 only when none does.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from paired_runs import fresh_copy
 
 CATALOG_SEEDS = (0, 1, 2)
 ANALYZE_SEEDS = (0, 1)
@@ -106,12 +109,15 @@ def main(argv: list[str]) -> int:
     golden = json.dumps(golden_commands(change))
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory() as tmp:
+        copies = [fresh_copy(tree, Path(tmp) / f"tree{i}")
+                  for i, tree in enumerate((parent, change))]
         outs, procs = [], []
-        for i, tree in enumerate((parent, change)):
+        for i, tree in enumerate(copies):
             out = Path(tmp) / f"tree{i}.json"
             env["PYTHONPATH"] = str(tree / "src")
-            proc = subprocess.Popen([sys.executable, __file__, "--child", str(tree), str(change),
-                                     str(out)], stdin=subprocess.PIPE, env=dict(env))
+            proc = subprocess.Popen([sys.executable, __file__, "--child", str(tree),
+                                     str(copies[1]), str(out)], stdin=subprocess.PIPE,
+                                    env=dict(env))
             proc.stdin.write(golden.encode())
             proc.stdin.close()
             outs.append(out)

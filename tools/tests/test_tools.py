@@ -1,9 +1,11 @@
-"""Tests of the tools' pure helpers; nothing here starts a process or copies a tree.
+"""Tests of the tools' helpers; nothing here starts a process.
 
 Run from the repository root: python3 -m pytest tools/tests
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import pytest
 
@@ -104,3 +106,22 @@ class TestCountDifferences:
         parent = {"add.calls": metric(5), "add.useful_ratio": metric(0.5, "ratio"),
                   "add.self_s": metric(0.1, "s")}
         assert paired_runs.count_differences(parent, dict(parent)) == ([], 2)
+
+
+class TestFreshCopy:
+    def test_leaves_out_git_bytecode_and_scratch(self, tmp_path):
+        tree = tmp_path / "tree"
+        kept = ["src/secantry/hilbert.py", "perfbench/run.py", "tests/specs/a.variety.json",
+                "BENCHMARK.json"]
+        dropped = [".git/HEAD", "src/secantry/__pycache__/hilbert.cpython-311.pyc",
+                   "perfbench/stale.pyc", ".perfbench/analyze/x.variety.json",
+                   ".pytest_cache/v/cache/nodeids"]
+        for name in kept + dropped:
+            (tree / name).parent.mkdir(parents=True, exist_ok=True)
+            (tree / name).write_text(name)
+        copy = paired_runs.fresh_copy(tree, tmp_path / "copy")
+        files = sorted(str(p.relative_to(copy)) for p in copy.rglob("*") if p.is_file())
+        assert files == sorted(kept)
+        assert (copy / kept[0]).read_text() == kept[0]
+        assert not any(Path(copy, d).exists() for d in (".git", ".perfbench", ".pytest_cache",
+                                                         "src/secantry/__pycache__"))
