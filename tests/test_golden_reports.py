@@ -27,6 +27,10 @@ GOLDEN = Path(__file__).resolve().parent / "reports_golden.json"
 # `dumps_spec`; each report's spec_hash pins them.
 COMMANDS = {
     "analyze-veronese-p3": ["analyze", "specs/veronese-p3.variety.json", "--k", "1"],
+    # One trial leaves 2 chain samples per prime, too few for h2 = 35 of
+    # 55 columns: hilbert2 reads fresh samples in both of its phases.
+    "analyze-veronese-p3-trials1": ["analyze", "specs/veronese-p3.variety.json", "--k", "1",
+                                    "--trials", "1"],
     "analyze-twisted-cubic": ["analyze", "specs/twisted-cubic.variety.json", "--k", "1"],
     "analyze-family-13-k2": ["analyze", "specs/family-13-k2.variety.json", "--k-max", "3"],
     # The two contact shapes the files above do not reach: F11's image is
