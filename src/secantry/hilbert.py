@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .linalg import PrimeContext, fold
-from .variety import VarietySpec, Veronese, span_dim
+from .variety import PointFrame, VarietySpec, Veronese, span_dim
 
 STALL = 8  # hilbert2 stops once this many points in a row add no rank
 
@@ -38,16 +38,16 @@ def castelnuovo_bound(r: int, n: int, d: int) -> tuple[int, int]:
 
 
 def hilbert2(spec: VarietySpec, ctxs: list[PrimeContext], rng: random.Random,
-             points: dict[int, list[list[int]]] | None = None) -> int:
+             samples: dict[int, list[PointFrame]] | None = None) -> int:
     """h_X(2) = h_{v2(X)}(1) of an irreducible X: the rank of v2 at points of X.
 
-    Per prime p, one RowReducer takes two phases; the maximum across primes
-    is reported.  Tangent phase: the n+1 rows x.v (v over the frame of a
-    fresh sample x) until the rank is full or a row adds nothing.  Point
-    phase: v2(q) for q in `points[p]` (points of X, such as
-    `SecantReport.points`), then fresh samples, until the rank is full,
-    STALL points in a row add no rank, or C(R+2, 2) + STALL points (R+1
-    coordinates) were read.
+    Per prime p, one RowReducer takes two phases from one stream of samples:
+    `samples[p]` (samples of X, such as the chain trials' `Trial.samples`),
+    then fresh ones; the maximum across primes is reported.  Tangent phase:
+    the n+1 rows x.v (v over the frame of the next sample x) until the rank
+    is full or a row adds nothing.  Point phase: v2(q) for the samples q the
+    tangent phase never reached, until the rank is full, STALL points in a
+    row add no rank, or C(R+2, 2) + STALL points (R+1 coordinates) were read.
 
     No row x.v lifts the rank past h2: B_Q(x, v) = 0 for every quadric Q on
     X and v tangent to the cone at x, so x.v lies in span v2(X).  The
@@ -57,23 +57,24 @@ def hilbert2(spec: VarietySpec, ctxs: list[PrimeContext], rng: random.Random,
     rows alone and needs X irreducible, as Terracini's lemma does.
     Below rank h2, some nonzero quadric on X vanishes at every row read, and
     a general point of X is no zero of it, so each general point raises the
-    rank by one up to h2.  A stall below h2 takes STALL unlucky points in a
-    row: an error that only lowers the rank, like every other the maxima
-    absorb.  On a reducible X, points can stall on one component.
+    rank by one up to h2.  A point whose frame was read is no such point:
+    v2(x) lies in the span of its rows x.v, so it would add nothing by
+    construction and fake a stall.  A stall below h2 takes STALL unlucky
+    points in a row: an error that only lowers the rank, like every other
+    the maxima absorb.  On a reducible X, points can stall on one component.
     """
     best = 0
     v2 = Veronese(spec, 2)
     ncols = v2.ambient + 1
     for ctx in ctxs:
         p = ctx.p
-        frames = (spec.sample(ctx, rng) for _ in itertools.count())
-        tangent = (row for pf in frames for row in v2.push(pf.point, pf.frame, p).frame)
+        fresh = (spec.sample(ctx, rng) for _ in itertools.count())
+        stream = itertools.chain((samples or {}).get(p, ()), fresh)
+        tangent = (row for pf in stream for row in v2.push(pf.point, pf.frame, p).frame)
         red = fold(tangent, p, ncols, 1)
-        drawn = (points or {}).get(p, ())
-        fresh = (spec.sample(ctx, rng).point for _ in range(ncols + STALL - len(drawn)))
-        rows = (v2.push(q, (), p).point for q in itertools.chain(drawn, fresh))
         if red.rank < ncols:
-            fold(rows, p, ncols, STALL, red)
+            points = itertools.islice(stream, ncols + STALL)  # the samples not yet read
+            fold((v2.push(pf.point, (), p).point for pf in points), p, ncols, STALL, red)
         best = max(best, red.rank)
     return best
 

@@ -16,7 +16,9 @@ reduce each entry once.  A step adds under p**2 to an entry, in at most
 `width` steps.  A row wider than PACK_MIN_WIDTH is one packed int, column i in
 bits [i*s, (i+1)*s) and slots from [0, p), so slots stay below width*p**2 + p
 < 2**s and never carry for s >= 2*p.bit_length() + width.bit_length() + 1.
-Narrower rows stay lists.
+Reduced, it is 0 mod p at each pivot column: only its free columns are
+unpacked, and a pivot row is packed from its pivot column on.  Narrower
+rows stay lists.
 """
 
 from __future__ import annotations
@@ -120,6 +122,7 @@ class RowReducer:
         self._width: int | None = None
         self._nbytes = 0  # bytes per packed slot; 0 when rows are reduced as lists
         self._packed: list[tuple[int, int]] = []  # (slot shift, packed pivot row)
+        self._free: list[int] = []  # packed path: the non-pivot columns, sorted
 
     @property
     def rank(self) -> int:
@@ -136,6 +139,7 @@ class RowReducer:
             self._width = n = len(row)
             if n > PACK_MIN_WIDTH:  # slot bits, rounded up to bytes (module docstring)
                 self._nbytes = -(-(2 * self.p.bit_length() + n.bit_length() + 1) // 8)
+                self._free = list(range(n))
         p, nbytes = self.p, self._nbytes
         if not nbytes:
             r = list(row)
@@ -149,8 +153,10 @@ class RowReducer:
             c = (packed >> shift & mask) % p
             if c:
                 packed += (p - c) * prow
-        raw = packed.to_bytes(nbytes * len(row), "little")
-        return [int.from_bytes(raw[i:i + nbytes], "little") for i in range(0, len(raw), nbytes)]
+        raw, r = packed.to_bytes(nbytes * len(row), "little"), [0] * len(row)
+        for c in self._free:  # a pivot column's slot is 0 mod p: it stays 0
+            r[c] = int.from_bytes(raw[nbytes * c:nbytes * c + nbytes], "little")
+        return r
 
     def residual(self, row: list[int]) -> list[int]:
         """Reduce `row` against the stored pivot rows; result has zeros in pivot columns."""
@@ -163,8 +169,10 @@ class RowReducer:
             if val % p:
                 inv = pow(val, -1, p)
                 prow = self.pivots[col] = [0] * col + [a * inv % p for a in r[col:]]
-                if self._nbytes:
-                    self._packed.append((8 * self._nbytes * col, self._pack(prow)))
+                if self._nbytes:  # pack the tail alone: prow is 0 left of col
+                    self._free.remove(col)
+                    self._packed.append((8 * self._nbytes * col,
+                                         self._pack(prow[col:]) << 8 * self._nbytes * col))
                 return True
         return False
 

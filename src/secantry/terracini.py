@@ -23,10 +23,10 @@ from typing import NamedTuple
 from . import linalg
 from .linalg import PrimeContext, RowReducer
 from .mpoly import PolyMap
-from .variety import NotParametric, ProjectFrom, SampleExhausted, VarietySpec, span_dim
+from .variety import NotParametric, PointFrame, ProjectFrom, SampleExhausted, VarietySpec, span_dim
 
 DEFAULT_TRIALS = 5
-MAX_TRIALS = 100  # the CLI's cap: a scan holds every trial's points and pivot rows
+MAX_TRIALS = 100  # the CLI's cap: a scan holds every trial's samples and pivot rows
 
 
 def expected_secant_dim(r: int, n: int, k: int) -> int:
@@ -35,9 +35,11 @@ def expected_secant_dim(r: int, n: int, k: int) -> int:
 
 
 class Trial(NamedTuple):
-    """A chain trial: s^(0..k), and the pivots of its frames in the order reached."""
+    """A chain trial: s^(0..k), the pivots of its frames in the order reached, and
+    its samples in draw order (`hilbert2` reads their frames before fresh ones)."""
     chain: list[int]
     basis: list[tuple[int, list[int]]]  # (pivot column, pivot row)
+    samples: list[PointFrame]
 
 
 @dataclass
@@ -102,17 +104,15 @@ class ContactShape:
 
 
 def _chain_once(spec: VarietySpec, k: int, ctx: PrimeContext,
-                rng: random.Random, points: list[list[int]]) -> Trial:
-    """One trial: ranks of stacked frames of 1..k+1 samples, minus 1; appends their points."""
-    red = RowReducer(ctx.p)
-    chain = []
+                rng: random.Random) -> Trial:
+    """One trial: ranks of stacked frames of 1..k+1 samples, minus 1."""
+    red, chain, samples = RowReducer(ctx.p), [], []
     for _ in range(k + 1):
-        pf = spec.sample(ctx, rng)
-        points.append(pf.point)
+        samples.append(pf := spec.sample(ctx, rng))
         for row in pf.frame:
             red.add(row)
         chain.append(red.rank - 1)
-    return Trial(chain, list(red.pivots.items()))
+    return Trial(chain, list(red.pivots.items()), samples)
 
 
 def secant_dim(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
@@ -131,9 +131,9 @@ def secant_dim(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
         raise ValueError("need k >= 0 and trials >= 1")
     spans, points, draws = [], {}, {}  # points and draws as on SecantReport
     for ctx in ctxs:
-        drawn = points[ctx.p] = []
-        draws[ctx.p] = [_chain_once(spec, k, ctx, rng, drawn) for _ in range(trials)]
-        spans.append(span_dim(spec, ctx, rng, points=drawn))
+        ts = draws[ctx.p] = [_chain_once(spec, k, ctx, rng) for _ in range(trials)]
+        points[ctx.p] = [pf.point for t in ts for pf in t.samples]
+        spans.append(span_dim(spec, ctx, rng, points=points[ctx.p]))
     r = max(spans) - 1
     chains = [t.chain for ts in draws.values() for t in ts]
     chain = [max(c[h] for c in chains) for h in range(k + 1)]
@@ -189,7 +189,7 @@ def tangential_projection(spec: VarietySpec, k: int, ctxs: list[PrimeContext], r
     for ctx in ctxs:
         full = [t for t in report.draws[ctx.p] if t.chain[k - 1] == s]
         if full:  # the first k frames' row basis: the first s + 1 pivots, column-sorted
-            chain, basis = max(full, key=lambda t: t.chain[k])
+            chain, basis, _ = max(full, key=lambda t: t.chain[k])
             projections.append((ctx, ProjectFrom(spec, [row for _, row in sorted(basis[:s + 1])],
                                                  dim=chain[k] - s - 1, bound_p=ctx.p)))
     best = max((proj for _, proj in projections), key=lambda proj: proj.dim)

@@ -778,7 +778,7 @@ class SpecParseError(ValueError):
 
 # The largest ambient dimension R a loaded node may have.  hilbert2 reduces
 # rows of C(R+2, 2) quadric columns, at most 2**13 for R <= 126, and so sets
-# the cost there: `analyze --k-max 6` on v2(P^9), R = 54, takes about 20 s, and
+# the cost there: `analyze --k-max 6` on v2(P^9), R = 54, takes about 15 s, and
 # `analyze --k 1` on v4(P^5), R = 125, took 273-395 s before hilbert2 read
 # tangent rows (catalog nodes have R <= 48).
 MAX_AMBIENT = 126

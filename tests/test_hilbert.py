@@ -11,7 +11,7 @@ from secantry.hilbert import (MinimalDegreeViolated, castelnuovo_bound,
                               check_quadric_bounds, hilbert2, hilbert_report)
 from secantry.linalg import derive_rng, make_contexts
 from secantry.mpoly import parse_poly, random_poly
-from secantry.variety import (VarietySpec, cone_over, hypersurface, on_quadric,
+from secantry.variety import (VarietySpec, Veronese, cone_over, hypersurface, on_quadric,
                               project_from, projective_space, random_center,
                               rational_normal_curve, scroll, segre_pair, veronese)
 
@@ -94,16 +94,41 @@ class TestHilbert2Stops:
         assert drawn == {c.p: 5 + 1 + 8 for c in ctxs}
 
     def test_chain_points_are_read_before_fresh_draws(self, ctxs, rng, monkeypatch):
-        # After the 5 tangent draws at rank 14, the point phase reads the
-        # chain's points first.  3 points reach 15 and leave 2 idle, so 6
-        # fresh draws end the stall; 30 points stall by themselves, so
-        # that prime draws no fresh point.
+        # The chain's samples come first in both phases.  With 3 of them the
+        # tangent phase reads all 3 and 2 fresh draws to reach rank 14, then
+        # 1 fresh point reaches 15 and 8 idle ones end the stall: 2 + 9
+        # draws.  With 30, the tangent phase reads 5, the 6th reaches 15 as
+        # a point and the next 8 stall: no fresh draw.
         spec = veronese(projective_space(2), 2)
-        points = {c.p: [spec.sample(c, rng).point for _ in range(n)]
-                  for c, n in zip(ctxs, (3, 30))}
+        samples = {c.p: [spec.sample(c, rng) for _ in range(n)] for c, n in zip(ctxs, (3, 30))}
         drawn = self.count_draws(spec, monkeypatch)
-        assert hilbert2(spec, ctxs, rng, points=points) == 15
-        assert drawn == {ctxs[0].p: 5 + 6, ctxs[1].p: 5}
+        assert hilbert2(spec, ctxs, rng, samples) == 15
+        assert [drawn[c.p] for c in ctxs] == [2 + 9, 0]
+
+    @pytest.mark.parametrize("given", [0, 3, 7, 30])
+    def test_no_framed_sample_becomes_a_point_row(self, ctxs, rng, monkeypatch, given):
+        # v2(x) lies in the span of x's tangent rows, so a point row from a
+        # sample whose frame was read would add nothing and fake a stall.
+        # The rational normal quartic's tangent phase reads 5 samples (h2 =
+        # 9, two rows each) and stops inside the 5th; its point phase reads
+        # 8 more.  Every push of hilbert2's v2 is recorded by point.
+        spec = rational_normal_curve(4)
+        samples = {c.p: [spec.sample(c, rng) for _ in range(given)] for c in ctxs}
+        pushed = {"frame": [], "point": []}
+        push = Veronese.push
+
+        def recording(self, q, dirs, p):
+            if self.child is spec:
+                pushed["frame" if dirs else "point"].append((p, tuple(q)))
+            return push(self, q, dirs, p)
+
+        monkeypatch.setattr(Veronese, "push", recording)
+        assert hilbert2(spec, ctxs, rng, samples) == 9
+        framed, points = set(pushed["frame"]), set(pushed["point"])
+        assert (len(framed), len(points)) == (5 * len(ctxs), 8 * len(ctxs))
+        assert not framed & points
+        read = {(c.p, tuple(pf.point)) for c in ctxs for pf in samples[c.p][:13]}
+        assert read <= framed | points
 
     @pytest.mark.parametrize("stalled", [0, 1])
     def test_a_stalled_prime_does_not_lower_h2(self, ctxs, rng, monkeypatch, stalled):

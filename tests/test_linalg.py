@@ -391,6 +391,28 @@ class TestPackedElimination:
     def test_worst_case_slot_growth(self, full_rank):
         check_worst_case_growth(330, full_rank)
 
+    @pytest.mark.parametrize("width", [PACK_MIN_WIDTH + 1, 120])
+    @pytest.mark.parametrize("p", [101, 3612720013493706217])
+    def test_pivots_out_of_column_order(self, p, width):
+        # Each row's first nonzero column is drawn out of order, so pivots
+        # leave the free columns from both ends and the middle; after each
+        # row, a combination of the rows so far adds nothing.
+        rng = derive_rng(SEED, "out-of-order", p, width)
+        red, oracle = RowReducer(p), ListReducer(p)
+        leads, rows = rng.sample(range(width), 12), []
+        for lead in leads:
+            rows.append([0] * lead + [rng.randrange(1, p)]
+                        + [rng.randrange(-p, 2 * p) for _ in range(width - lead - 1)])
+            coeffs = [rng.randrange(p) for _ in rows]
+            idle = [sum(c * row[i] for c, row in zip(coeffs, rows)) for i in range(width)]
+            assert (red.add(rows[-1]), oracle.add(rows[-1])) == (True, True)
+            assert (red.add(idle), oracle.add(idle)) == (False, False)
+        assert list(red.pivots) == leads
+        assert list(red.pivots.items()) == list(oracle.pivots.items())
+        for probe in packed_path_rows(rng, p, width, nrows=2) + [idle]:
+            assert red.residual(probe) == oracle.residual(probe)
+            assert red.contains(probe) == (not any(oracle.residual(probe)))
+
 
 class TestLazyListElimination:
     """Rows of at most PACK_MIN_WIDTH columns are reduced once, at the end;

@@ -21,6 +21,8 @@ where s^(k-1) reads low on every trial and n_k reads high.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from secantry import catalog, hilbert, terracini
@@ -35,10 +37,18 @@ K = 2
 
 
 def _measure(entry, ctxs, rng, trials):
-    res = catalog.verify_family(entry, ctxs, rng, trials)
+    samples = {}
+
+    def projection(spec, k, ctxs, rng, report):
+        # verify_family drops the trials after their projection: keep their samples.
+        samples.update((p, [pf for t in ts for pf in t.samples]) for p, ts in report.draws.items())
+        return terracini.tangential_projection(spec, k, ctxs, rng, report=report)
+
+    with mock.patch.object(catalog, "tangential_projection", projection):
+        res = catalog.verify_family(entry, ctxs, rng, trials)
     top, tan = res.scan.top, res.tangential
     return {"chain": top.chain, "r": top.r, "n_k": tan.n_k,
-            "h2": hilbert.hilbert2(entry.spec, ctxs, rng, points=top.points),
+            "h2": hilbert.hilbert2(entry.spec, ctxs, rng, samples),
             "shape": terracini.contact_shape(tan, rng).classification,
             "gauss": terracini.gauss_fiber_dim(entry.spec, ctxs, rng)}
 

@@ -215,8 +215,8 @@ class TestTangential:
         # chain trial under the first prime falls one short at order k = 1.
         real = terracini._chain_once
 
-        def first_prime_unlucky(spec, k, ctx, rng, points):
-            trial = real(spec, k, ctx, rng, points)
+        def first_prime_unlucky(spec, k, ctx, rng):
+            trial = real(spec, k, ctx, rng)
             if ctx is ctxs[0]:
                 trial.chain[1] -= 1
             return trial

@@ -51,7 +51,8 @@ def fresh_copy(tree: Path, dest: Path) -> Path:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
-    """One benchmark run on a fresh copy of `tree`: its result line plus `exit`."""
+    """One benchmark run on a fresh copy of `tree`: its result line plus `exit`.  A run
+    that exits nonzero or whose last line is no JSON object counts as not correct."""
     with tempfile.TemporaryDirectory(prefix="paired-") as tmp:
         copy = fresh_copy(tree, Path(tmp) / "tree")
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -61,8 +62,12 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 
                                "--trace", str(trace)],
                               cwd=copy, env=env, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
-    result = json.loads(lines[-1]) if proc.returncode == 0 and lines else \
-        {"attempted": 0, "correct": False, "failed": 0, "metrics": {}}
+    try:
+        result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+    except json.JSONDecodeError:  # exited 0 without a result line
+        result = None
+    if not isinstance(result, dict):  # a run that printed no result is not correct
+        result = {"attempted": 0, "correct": False, "failed": 0, "metrics": {}}
     return {**result, "exit": proc.returncode}
 
 

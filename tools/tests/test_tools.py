@@ -5,6 +5,8 @@ Run from the repository root: python3 -m pytest tools/tests
 
 from __future__ import annotations
 
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -125,3 +127,67 @@ class TestFreshCopy:
         assert (copy / kept[0]).read_text() == kept[0]
         assert not any(Path(copy, d).exists() for d in (".git", ".perfbench", ".pytest_cache",
                                                          "src/secantry/__pycache__"))
+
+
+RESULT = {"attempted": 2, "correct": True, "failed": 0, "metrics": {"wall_s": metric(1.0, "s")}}
+
+
+def stub_runs(monkeypatch, outputs: list[tuple[int, str]]) -> list[list[str]]:
+    """Replace `subprocess.run` in paired_runs: each call returns the next
+    (exit code, stdout); the returned list collects the commands."""
+    calls, queue = [], list(outputs)
+
+    def run(cmd, **kw):
+        calls.append(cmd)
+        code, out = queue.pop(0)
+        return subprocess.CompletedProcess(cmd, code, stdout=out)
+
+    monkeypatch.setattr(paired_runs.subprocess, "run", run)
+    return calls
+
+
+class TestRunOnce:
+    @pytest.fixture()
+    def tree(self, tmp_path):
+        (tmp_path / "tree" / "perfbench").mkdir(parents=True)
+        return tmp_path / "tree"
+
+    def test_reads_the_last_line(self, tree, monkeypatch):
+        stub_runs(monkeypatch, [(0, "context\n" + json.dumps(RESULT) + "\n")])
+        assert paired_runs.run_once(tree, "analyze", 1, 0) == {**RESULT, "exit": 0}
+
+    @pytest.mark.parametrize("code, out", [
+        (0, "Traceback (most recent call last):\n  ...\n"),  # exit 0, no result line
+        (0, "context\n[1, 2]\n"),  # JSON, but no result object
+        (0, ""),
+        (2, "no library\n"),
+        (1, json.dumps(RESULT) + "\n"),  # a result line from a failed run
+    ])
+    def test_a_run_without_a_result_is_not_correct(self, tree, monkeypatch, code, out):
+        stub_runs(monkeypatch, [(code, out)])
+        assert paired_runs.run_once(tree, "analyze", 1, 0) == {
+            "attempted": 0, "correct": False, "failed": 0, "metrics": {}, "exit": code}
+
+    def test_the_comparison_carries_on(self, tmp_path, monkeypatch):
+        # The change's traced run and its first timed run print no result:
+        # both are recorded as not correct, the second pair still runs, and
+        # the exit code is 1.
+        bench = {"run_seconds": 0, "workloads": [{"name": "w"}],
+                 "end_to_end": [{"name": "wall_s", "better": "lower"}]}
+        for name in ("parent", "change"):
+            (tmp_path / name / "perfbench").mkdir(parents=True)
+            (tmp_path / name / "BENCHMARK.json").write_text(json.dumps(bench))
+        good, bad = (0, json.dumps(RESULT) + "\n"), (0, "partial output\n")
+        # traced parent, change; pair 1 parent, change; pair 2 change, parent
+        calls = stub_runs(monkeypatch, [good, bad, good, bad, good, good])
+        out = tmp_path / "bench.json"
+        assert paired_runs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                                 "--pairs", "2", "--seed0", "7", "--out", str(out)]) == 1
+        assert len(calls) == 6
+        doc = json.loads(out.read_text())
+        assert doc["trace_seed_1"]["w"]["change"]["correct"] is False
+        pairs = doc["runs"]["w"]
+        assert [(p["seed"], p["change"]["correct"], p["parent"]["correct"]) for p in pairs] == [
+            (7, False, True), (8, True, True)]
+        assert pairs[0]["change"]["exit"] == 0
+        assert doc["summary"]["w"]["correct"] == {"change": False, "parent": True}
