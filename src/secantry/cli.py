@@ -4,13 +4,14 @@ Reports are reproducible by construction: they embed the seed, both prime
 moduli, the trial count and a hash of the spec tree, and serializing with
 sorted keys makes reruns byte-identical for identical inputs.
 
-Exit codes: 0 success / skipped-not-constructible, 1 parse error,
-2 sampler exhaustion, 3 catalog mismatch.
+Exit codes: 0 success / skipped-not-constructible, 1 parse error or an
+--out that cannot be written, 2 sampler exhaustion, 3 catalog mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -24,14 +25,21 @@ from .variety import (MAX_AMBIENT, SampleExhausted, SpecParseError, VarietySpec,
                       loads_spec, spec_hash)
 
 
-def _write_report(text: str, out: str | None) -> None:
+def _write_report(text: str, out: str | None) -> int:
     if out is None:
         sys.stdout.write(text)
-        return
-    tmp = Path(out).with_suffix(Path(out).suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, out)
+        return 0
+    tmp = Path(out + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, out)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {out}")
+    return 0
 
 
 def _json_text(payload) -> str:
@@ -97,8 +105,7 @@ def cmd_analyze(args) -> int:
         return 1
     rep = _measure(spec, k, k_max, args.seed, args.trials)
     text = _json_text(rep) if args.format == "json" else _markdown_report(rep)
-    _write_report(text, args.out)
-    return 0
+    return _write_report(text, args.out)
 
 
 def _entry_report(res: cat.VerifyResult, seed: int) -> dict:
@@ -114,8 +121,7 @@ def cmd_catalog(args) -> int:
         rows = [{"family": family, "constructible_k": list(fam.domain),
                  "variants": list(fam.variants), "constructible": fam.make is not None,
                  "note": fam.note} for family, fam in cat.FAMILIES.items()]
-        _write_report(_json_text(rows), args.out)
-        return 0
+        return _write_report(_json_text(rows), args.out)
 
     ctxs = make_contexts(args.seed)
     if args.catalog_cmd == "verify":
@@ -131,7 +137,8 @@ def cmd_catalog(args) -> int:
                                                         args.k, entry.variant), args.trials)
         rep = _entry_report(res, args.seed)
         text = _json_text(rep) if args.format == "json" else _markdown_report(rep)
-        _write_report(text, args.out)
+        if _write_report(text, args.out):
+            return 1
         print(f"{entry.family} k={entry.k} variant={entry.variant}: "
               + ("pass" if res.passed else f"FAIL {res.mismatches}"))
         return 0 if res.passed else 3
@@ -155,8 +162,7 @@ def cmd_catalog(args) -> int:
         status = "pass" if res.passed else f"FAIL {res.mismatches}"
         print(f"{res.entry.family} k={res.entry.k} variant={res.entry.variant}: {status}")
         all_ok = all_ok and res.passed
-    _write_report(_json_text(reports), args.out)
-    return 0 if all_ok else 3
+    return _write_report(_json_text(reports), args.out) or (0 if all_ok else 3)
 
 
 def _parse_k_range(text: str) -> tuple[int, int]:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from math import prod
 from operator import mul
 
@@ -391,7 +392,8 @@ class PolyParseError(ValueError):
     pass
 
 
-_VAR_NAMES = ("x", "t")
+# A token: a number, a variable x<i> or t<i>, an operator (`**` is `^`) or a bad character.
+_TOKEN = re.compile(r"\s*(?:(\d+)|([xt]\d+)|(\*\*|[-+*^()])|(\S))")
 # Parsing multiplies a base exponent-many times, and sampling solves univariates
 # of the equation's degree (~0.15 s each at 100): the cap bounds each exponent
 # and each product's total degree.  The catalog's largest degree is 13.
@@ -479,12 +481,10 @@ def parse_poly(text: str, nvars: int) -> MPoly:
         take()
         if tok.isdigit():
             return MPoly.constant(nvars, int(tok))
-        for name in _VAR_NAMES:
-            if tok.startswith(name) and tok[len(name):].isdigit():
-                idx = int(tok[len(name):])
-                if idx >= nvars:
-                    raise PolyParseError(f"variable {tok} out of range (nvars={nvars})")
-                return MPoly.variable(nvars, idx)
+        if tok[1:].isdigit():  # a variable: no other token is a letter then digits
+            if (idx := int(tok[1:])) >= nvars:
+                raise PolyParseError(f"variable {tok} out of range (nvars={nvars})")
+            return MPoly.variable(nvars, idx)
         raise PolyParseError(f"unexpected token {tok!r}")
 
     result = parse_expr()
@@ -495,30 +495,8 @@ def parse_poly(text: str, nvars: int) -> MPoly:
 
 def _tokenize(text: str) -> list[str]:
     tokens = []
-    i = 0
-    text = text.replace("**", "^")
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*^()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif any(text.startswith(name, i) for name in _VAR_NAMES):
-            name = next(n for n in _VAR_NAMES if text.startswith(n, i))
-            j = i + len(name)
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i + len(name):
-                raise PolyParseError(f"variable {name!r} needs an index")
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise PolyParseError(f"bad character {ch!r} in polynomial")
+    for num, var, op, bad in _TOKEN.findall(text):
+        if bad:
+            raise PolyParseError(f"bad character {bad!r} in polynomial (variables read x<i>, t<i>)")
+        tokens.append(num or var or op.replace("**", "^"))
     return tokens

@@ -36,7 +36,7 @@ def expected_secant_dim(r: int, n: int, k: int) -> int:
 
 class Trial(NamedTuple):
     """A chain trial: s^(0..k), the pivots of its frames in the order reached, and
-    its samples in draw order (`hilbert2` reads their frames before fresh ones)."""
+    its samples in draw order (the span reads their points and `hilbert2` their frames)."""
     chain: list[int]
     basis: list[tuple[int, list[int]]]  # (pivot column, pivot row)
     samples: list[PointFrame]
@@ -60,8 +60,7 @@ class SecantReport:
     trials: int
     primes: list[int]
     agreement: bool
-    # Each prime's chain points and trials, keyed by p (verify_family drops the trials).
-    points: dict[int, list[list[int]]] = field(repr=False, compare=False)
+    # Each prime's chain trials, keyed by p (verify_family drops them).
     draws: dict[int, list[Trial]] = field(repr=False, compare=False)
 
 
@@ -69,7 +68,7 @@ class SecantReport:
 class ScanResult:
     """The one report measured to k_max; order h compares top.chain[h] with sigma_h."""
     first_defective: int | None
-    top: SecantReport  # secant_dim(spec, k_max, ...), holding its points and draws
+    top: SecantReport  # secant_dim(spec, k_max, ...), holding its draws
 
 
 @dataclass
@@ -129,11 +128,10 @@ def secant_dim(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
     """
     if k < 0 or trials < 1:
         raise ValueError("need k >= 0 and trials >= 1")
-    spans, points, draws = [], {}, {}  # points and draws as on SecantReport
+    spans, draws = [], {}  # draws as on SecantReport
     for ctx in ctxs:
         ts = draws[ctx.p] = [_chain_once(spec, k, ctx, rng) for _ in range(trials)]
-        points[ctx.p] = [pf.point for t in ts for pf in t.samples]
-        spans.append(span_dim(spec, ctx, rng, points=points[ctx.p]))
+        spans.append(span_dim(spec, ctx, rng, samples=[pf for t in ts for pf in t.samples]))
     r = max(spans) - 1
     chains = [t.chain for ts in draws.values() for t in ts]
     chain = [max(c[h] for c in chains) for h in range(k + 1)]
@@ -141,7 +139,7 @@ def secant_dim(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
     sigma_k = expected_secant_dim(r, spec.dim, k)
     return SecantReport(k=k, r=r, n=spec.dim, chain=chain, sigma_k=sigma_k,
                         delta_k=sigma_k - chain[k], trials=trials, primes=[c.p for c in ctxs],
-                        agreement=agreement, points=points, draws=draws)
+                        agreement=agreement, draws=draws)
 
 
 def min_defective_scan(spec: VarietySpec, k_max: int, ctxs: list[PrimeContext],

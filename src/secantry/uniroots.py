@@ -6,8 +6,9 @@ Polynomials are dense coefficient lists in ascending degree order
 Over an odd prime, degree <= 2 is solved by formula (Tonelli-Shanks for
 the square root, one exponentiation per call).  Higher degrees go the
 Cantor-Zassenhaus way: gcd with x^p - x isolates the product of distinct
-linear factors, then splitting with (x + a)^((p-1)/2) peels the roots off;
-one kernel, `_pow_shift`, computes both powers, unrolled for a cubic.  Only
+linear factors, then splitting with (x + a)^((p-1)/2) peels the roots off.
+One kernel, `_pow_shift`, computes both powers by square-and-multiply with
+`poly_divmod` as its one long division, unrolled for a cubic.  Only
 splitting degree >= 3 draws from the RNG, and the root list is sorted, so
 it does not depend on those draws.
 """
@@ -118,36 +119,21 @@ def _quadratic_roots(f: list[int], p: int) -> list[int]:
 
 
 def _pow_shift(a: int, e: int, f: list[int], p: int) -> list[int]:
-    """(x + a)^e mod a monic f of degree n >= 1: square, shift-and-add x + a on
-    a set bit, reduce from the top by x^n = -(f_0 + ... + f_{n-1} x^{n-1}).
-    Its own reduction, not `poly_divmod`: a monic f needs no inverse or quotient,
-    and root finding ran about a third slower through a lazy `poly_divmod`.
-
-    Every degree >= 3 restriction the samplers solve is a cubic, where the list
-    loop's bookkeeping costs more than its arithmetic, so a cubic goes to
-    `_pow_shift3`; the loop serves degree >= 4, and degrees 1 and 2 over F_2."""
+    """(x + a)^e mod a monic f of degree >= 1 by square-and-multiply, reduced by
+    `poly_divmod`.  Above degree 2 the benchmark workloads solve only cubics, which
+    `_pow_shift3` unrolls; the loop serves degree >= 4, and degrees 1 and 2 over F_2."""
     if len(f) == 4:
         return _pow_shift3(a, e, f, p)
-    n = len(f) - 1
     r = [1]
     for bit in bin(e)[2:]:
-        m = len(r)
-        w = [0] * (2 * m - 1)
+        w = [0] * (2 * len(r) - 1)
         for i, u in enumerate(r):
-            if u:
-                w[2 * i] += u * u
-                u2 = 2 * u
-                for j in range(i + 1, m):
-                    w[i + j] += u2 * r[j]
+            for j, v in enumerate(r):
+                w[i + j] += u * v
         if bit == "1":
-            w = [a * w[0]] + [w[i - 1] + a * w[i] for i in range(1, len(w))] + [w[-1]]
-        for k in range(len(w) - 1, n - 1, -1):
-            c = w[k] % p
-            if c:
-                for i in range(n):
-                    w[k - n + i] -= c * f[i]
-        r = [v % p for v in w[:n]]
-    return trim(r)
+            w = [u + a * v for u, v in zip([0] + w, w + [0])]
+        r = poly_divmod(w, f, p)[1]
+    return r
 
 
 def _pow_shift3(a: int, e: int, f: list[int], p: int) -> list[int]:

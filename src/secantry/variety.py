@@ -48,13 +48,12 @@ import itertools
 import json
 import math
 import random
-import re
 from collections.abc import Sequence
 from typing import NamedTuple
 
 from . import linalg, uniroots
 from .linalg import PrimeContext, SAMPLE_RETRIES
-from .mpoly import MPoly, PolyMap, parse_poly, poly_str, random_poly
+from .mpoly import _TOKEN, MPoly, PolyMap, parse_poly, poly_str, random_poly
 
 
 class SampleExhausted(Exception):
@@ -756,15 +755,16 @@ def random_center(ambient: int, s: int, rng: random.Random) -> list[list[int]]:
 
 
 def span_dim(spec: VarietySpec, ctx: PrimeContext, rng: random.Random,
-             points: Sequence[list[int]] = ()) -> int:
+             samples: Sequence[PointFrame] = ()) -> int:
     """h_X(1): the number of independent coordinates on X, i.e. dim<X> + 1.
 
-    Reads the given `points` of X first, then fresh samples, until the rank
-    is full or ambient+2 points were read in all, so a rank deficit reflects
-    the variety, not undersampling.
+    Reads the points of the given `samples` of X first, then fresh samples,
+    until the rank is full or ambient+2 points were read in all, so a rank
+    deficit reflects the variety, not undersampling.
     """
-    fresh = (spec.sample(ctx, rng).point for _ in range(spec.ambient + 2 - len(points)))
-    return linalg.fold(itertools.chain(points, fresh), ctx.p, spec.ambient + 1).rank
+    fresh = (spec.sample(ctx, rng) for _ in range(spec.ambient + 2 - len(samples)))
+    points = (pf.point for pf in itertools.chain(samples, fresh))
+    return linalg.fold(points, ctx.p, spec.ambient + 1).rank
 
 
 # ---------------------------------------------------------------------------
@@ -895,11 +895,8 @@ def _node_from_obj(obj: dict) -> VarietySpec:
 
 def _max_var_index(poly_strs: list[str]) -> int:
     """The largest variable index the strings name, or -1 when they name none."""
-    best = -1
-    for s in poly_strs:
-        for m in re.finditer(r"[xt](\d+)", s):
-            best = max(best, int(m.group(1)))
-    return best
+    return max((int(var[1:]) for s in poly_strs for _, var, _, _ in _TOKEN.findall(s) if var),
+               default=-1)
 
 
 def dumps_spec(spec: VarietySpec) -> str:

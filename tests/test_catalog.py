@@ -113,13 +113,14 @@ class TestVerifyFamily:
             assert res.passed, (family, res.mismatches)
 
     def test_chain_trials_are_released(self, ctxs):
-        # verify_all keeps every result: the trials' pivot rows go once the
-        # tangential projection has read them, the chain points stay.
+        # verify_all keeps every result: the trials' pivot rows and samples go
+        # once the tangential projection has read them, and no copy of the
+        # chain points stays behind.
         entry = build_family("F13", 2, "full")
         res = verify_family(entry, ctxs, derive_rng(SEED, "vf"), trials=2)
         assert res.passed and res.tangential.n_k == entry.expected.n_k
         assert res.scan.top.draws == {}
-        assert all(len(pts) >= 2 * 4 for pts in res.scan.top.points.values())
+        assert not hasattr(res.scan.top, "points")
         # So the report cannot feed another projection, and says why.
         with pytest.raises(ValueError, match="no trials"):
             tangential_projection(entry.spec, 2, ctxs, derive_rng(SEED, "vf2"),

@@ -327,3 +327,22 @@ class TestCatalogCommands:
         verified = [r for r in rows if not r.get("skipped")]
         assert all(r["pass"] for r in verified)
         assert {r["family"] for r in skipped} >= {"F3", "F6", "F9"}
+
+
+# An --out that cannot be written is one error line and exit 1, with no
+# temporary file left behind: a missing directory fails the write, and a
+# directory fails the rename over it.
+@pytest.mark.parametrize("args", [
+    ["analyze", str(SPECS / "twisted-cubic.variety.json"), "--k", "1"],
+    ["catalog", "list"],
+], ids=["analyze", "catalog-list"])
+@pytest.mark.parametrize("target", ["missing/r.json", "dir"])
+def test_unwritable_out_exit_1(args, target, tmp_path, capsys):
+    (tmp_path / "dir").mkdir()
+    out = tmp_path / target
+    assert run(args + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1 and "wrote" not in captured.out
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["dir"]
+    assert not any((tmp_path / "dir").iterdir())

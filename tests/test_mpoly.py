@@ -9,7 +9,7 @@ import pytest
 from secantry.linalg import rank
 from secantry.mpoly import (MAX_EXPONENT, MPoly, PolyMap, PolyParseError, monomial_exponents,
                             parse_poly, poly_str, random_poly)
-from secantry.variety import Parametric, SampleExhausted
+from secantry.variety import Parametric, SampleExhausted, _max_var_index
 
 P62 = 4611686018427387847  # 2^62 - 57, prime
 
@@ -251,6 +251,34 @@ class TestParser:
             parse_poly("x0 + ", 3)
         with pytest.raises(PolyParseError):
             parse_poly("y0", 3)
+
+    # Edge cases of the token grammar: implicit products, `**` as `^`,
+    # whitespace that splits a variable, and Unicode digits: `٣` is a decimal
+    # digit, `²` is not one that int() reads.  A rejection need only be a
+    # ValueError, of which PolyParseError is one.
+    @pytest.mark.parametrize("text, expected", [
+        ("2x0", lambda: 2 * x(4, 0)),
+        ("x0 x1", lambda: x(4, 0) * x(4, 1)),
+        ("(x0+1)(x1+1)", lambda: (x(4, 0) + 1) * (x(4, 1) + 1)),
+        ("x0**2", lambda: x(4, 0) * x(4, 0)),
+        ("t1 - -x2", lambda: x(4, 1) + x(4, 2)),
+        ("x٣", lambda: x(4, 3)),
+        ("x0***2", None),
+        ("x 0", None),
+        ("x", None),
+        ("x0²", None),
+        ("x0 % 2", None),
+    ])
+    def test_token_table(self, text, expected):
+        if expected is None:
+            with pytest.raises(ValueError):
+                parse_poly(text, 4)
+        else:
+            assert parse_poly(text, 4) == expected()
+
+    def test_max_var_index(self):
+        assert _max_var_index(["1", "2 + 3"]) == -1
+        assert _max_var_index(["x0*t4", "t2 - x3", "7x1"]) == 4
 
     def test_exponent_cap_rejects_before_multiplying(self, monkeypatch):
         # x^e is built by e multiplications, so an exponent above the cap

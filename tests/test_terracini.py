@@ -73,8 +73,8 @@ class TestSecantDim:
         # One prime's span falls a rank short; r is the other prime's, and
         # the flag records the disagreement.
         span = terracini.span_dim
-        monkeypatch.setattr(terracini, "span_dim", lambda spec, ctx, rng, points=():
-                            span(spec, ctx, rng, points) - (ctx.p == ctxs[short].p))
+        monkeypatch.setattr(terracini, "span_dim", lambda spec, ctx, rng, samples=():
+                            span(spec, ctx, rng, samples) - (ctx.p == ctxs[short].p))
         rep = secant_dim(veronese(projective_space(2), 2), 1, ctxs, rng)
         assert rep.r == 5 and not rep.agreement
 
@@ -89,14 +89,14 @@ class TestSpanReuse:
 
     def test_spanning_points_draw_nothing(self, ctxs, rng, monkeypatch):
         spec = rational_normal_curve(3)
-        points = [spec.sample(ctxs[0], rng).point for _ in range(4)]
+        samples = [spec.sample(ctxs[0], rng) for _ in range(4)]
         state = rng.getstate()
 
         def refuse(self, ctx, rng):
             raise AssertionError("span_dim drew a sample")
 
         monkeypatch.setattr(VarietySpec, "sample", refuse)
-        assert span_dim(spec, ctxs[0], rng, points=points) == 4
+        assert span_dim(spec, ctxs[0], rng, samples=samples) == 4
         assert rng.getstate() == state
 
     # The twisted cubic's 5 x 2 chain points fill P^3; those of the Segre
@@ -130,16 +130,16 @@ class TestSpanReuse:
         specs = [hypersurface(2, parse_poly("x0^2 + x1^2 - x2^2", 3)),
                  on_quadric(parse_poly("x0^3 + x1^3 - x2^3 + x3*x4*x5", 6)),
                  random_cone_section(veronese(projective_space(2), 2), 2, rng)]
-        points = [spec.sample(ctxs[0], rng).point for spec in specs]
+        samples = [spec.sample(ctxs[0], rng) for spec in specs]
 
         def value(f, t, p):
             return sum(c * t ** i for i, c in enumerate(f)) % p
 
         monkeypatch.setattr(uniroots, "roots", lambda f, p, rng: [
             next(t for t in range(len(f)) if value(f, t, p))])
-        for spec, point in zip(specs, points):
+        for spec, pf in zip(specs, samples):
             with pytest.raises(ArithmeticError, match="does not satisfy"):
-                span_dim(spec, ctxs[0], rng, points=[point])
+                span_dim(spec, ctxs[0], rng, samples=[pf])
             with pytest.raises(ArithmeticError, match="does not satisfy"):
                 secant_dim(spec, 1, ctxs, rng)
 

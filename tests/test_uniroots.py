@@ -93,10 +93,13 @@ class TestBruteForceAcrossPrimes:
 
 
 class TestPowShift:
-    # (x + a)^e mod a monic f against square-and-multiply through schoolbook
-    # products and the library's long division.  Cubics take the unrolled
-    # kernel, so their f include zero coefficients, x^3 and a planted
-    # (x + a)^3 (whose power vanishes); other degrees take the list loop.
+    # (x + a)^e mod a monic f.  Cubics take the unrolled kernel and are checked
+    # against square-and-multiply through schoolbook products and the library's
+    # long division; their f include zero coefficients, x^3 and a planted
+    # (x + a)^3 (whose power vanishes).  Other degrees take that same
+    # square-and-multiply in the library, so they are checked by evaluation:
+    # on f = (x - r_1)...(x - r_n) with distinct r_i, a remainder of degree < n
+    # is fixed by its values at the r_i, which must be (r_i + a)^e.
     PRIMES = (2, 3, 5, 7, 101, 257, 7681, P62)
 
     @staticmethod
@@ -108,25 +111,34 @@ class TestPowShift:
                 acc = poly_divmod(poly_mul(acc, [a, 1], p), f, p)[1]
         return acc
 
-    def check(self, n, extra, name):
-        rng = derive_rng(SEED, "pow-shift", name)
-        for p in self.PRIMES:
-            for a in (0, rng.randrange(1, p)):
-                fs = [[rng.randrange(p) for _ in range(n)] + [1] for _ in range(3)]
-                for f in fs + extra(a, p, rng):
-                    for e in (1, 2, 3, p, (p - 1) // 2, rng.randrange(1 << 64)):
-                        assert _pow_shift(a, e, f, p) == self.oracle(a, e, f, p), (a, e, f, p)
+    @staticmethod
+    def exponents(p, rng):
+        return (1, 2, 3, p, (p - 1) // 2, rng.randrange(1 << 64))
 
     def test_monic_cubics(self):
-        self.check(3, lambda a, p, rng: [[0, 0, 0, 1], [rng.randrange(p), 0, 0, 1],
-                                         [0, rng.randrange(p), 0, 1],
-                                         [0, 0, rng.randrange(p), 1],
-                                         [c % p for c in (a ** 3, 3 * a * a, 3 * a, 1)]],
-                   "cubic")
+        rng = derive_rng(SEED, "pow-shift", "cubic")
+        for p in self.PRIMES:
+            for a in (0, rng.randrange(1, p)):
+                fs = [[rng.randrange(p) for _ in range(3)] + [1] for _ in range(3)]
+                fs += [[0, 0, 0, 1], [rng.randrange(p), 0, 0, 1], [0, rng.randrange(p), 0, 1],
+                       [0, 0, rng.randrange(p), 1], [c % p for c in (a ** 3, 3 * a * a, 3 * a, 1)]]
+                for f in fs:
+                    for e in self.exponents(p, rng):
+                        assert _pow_shift(a, e, f, p) == self.oracle(a, e, f, p), (a, e, f, p)
 
     def test_other_degrees(self):
-        for n in (1, 2, 4, 5):
-            self.check(n, lambda a, p, rng: [[0] * n + [1]], f"degree-{n}")
+        rng = derive_rng(SEED, "pow-shift", "other")
+        for n, p in ((n, p) for n in (1, 2, 4, 5, 8) for p in self.PRIMES if p >= n):
+            for a in (0, rng.randrange(1, p)):
+                for plant in (False, True):
+                    rs = rng.sample(range(p), n)
+                    if plant and (-a) % p not in rs:
+                        rs[0] = (-a) % p  # a root of x + a: the power vanishes there
+                    for e in self.exponents(p, rng):
+                        got = _pow_shift(a, e, from_roots(rs, p), p)
+                        assert len(got) <= n and (not got or got[-1]), (a, e, rs, p)
+                        assert [eval_poly(got, r, p) for r in rs] == \
+                            [pow(r + a, e, p) for r in rs], (a, e, rs, p)
 
 
 class TestSqrtMod:
