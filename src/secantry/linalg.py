@@ -19,6 +19,9 @@ bits [i*s, (i+1)*s) and slots from [0, p), so slots stay below width*p**2 + p
 Reduced, it is 0 mod p at each pivot column: only its free columns are
 unpacked, and a pivot row is packed from its pivot column on.  Narrower
 rows stay lists.
+
+A RowReducer may run modulo a product N of distinct primes.  Its rank is each
+prime's while every pivot is a unit mod N; a non-unit pivot raises ValueError.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ def is_prime_u64(n: int) -> bool:
 class PrimeContext:
     """A prime modulus.
 
-    Invariant: p is prime and 2**(bits-1) <= p < 2**bits for bits = 62.
+    Invariant: p is prime; `make_contexts(bits=62)` draws it in [2**(bits-1), 2**bits).
     """
 
     p: int

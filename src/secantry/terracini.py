@@ -12,10 +12,19 @@ Randomization over a 62-bit prime field has one-sided error: an unlucky
 point or prime can only lower a rank.  Every dimension is therefore the
 maximum over independent trials, repeated under two independently drawn
 primes, with an `agreement` flag recording whether all runs concurred.
+
+On a tree that solves for no roots, a chain trial runs once modulo N = p1*p2:
+by the Chinese remainder theorem a uniform draw mod N is an independent uniform
+draw under each prime.  While every pivot is a unit mod N, a residual 0 mod N
+is 0 under both primes and any other leads with a unit, raising both ranks, so
+the rank mod N is each prime's.  A non-unit pivot (ValueError from pow), or any
+other failure of the pass, reruns that trial under each prime.  Root-solving
+trees keep one pass per prime, as a draw would need a root under both at once.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -23,7 +32,8 @@ from typing import NamedTuple
 from . import linalg
 from .linalg import PrimeContext, RowReducer
 from .mpoly import PolyMap
-from .variety import NotParametric, PointFrame, ProjectFrom, SampleExhausted, VarietySpec, span_dim
+from .variety import (ConeSection, Hypersurface, NotParametric, PointFrame, ProjectFrom,
+                      RestrictedChart, SampleExhausted, VarietySpec, span_dim)
 
 DEFAULT_TRIALS = 5
 MAX_TRIALS = 100  # the CLI's cap: a scan holds every trial's samples and pivot rows
@@ -36,7 +46,8 @@ def expected_secant_dim(r: int, n: int, k: int) -> int:
 
 class Trial(NamedTuple):
     """A chain trial: s^(0..k), the pivots of its frames in the order reached, and
-    its samples in draw order (the span reads their points and `hilbert2` their frames)."""
+    its samples in draw order (the span reads their points and `hilbert2` their frames).
+    One run modulo p1*p2 is filed under both primes, its rows residues mod p1*p2."""
     chain: list[int]
     basis: list[tuple[int, list[int]]]  # (pivot column, pivot row)
     samples: list[PointFrame]
@@ -102,7 +113,18 @@ class ContactShape:
     gamma_lower: int
 
 
-def _chain_once(spec: VarietySpec, k: int, ctx: PrimeContext,
+class _Product(NamedTuple):
+    """The modulus p1*p2 of a trial run for both primes; samplers read only `p`."""
+    p: int
+
+
+def _solves_roots(spec: VarietySpec) -> bool:
+    """True when some node of the tree samples by solving for a root."""
+    return isinstance(spec, (Hypersurface, RestrictedChart, ConeSection)) or any(
+        _solves_roots(c) for c in vars(spec).values() if isinstance(c, VarietySpec))
+
+
+def _chain_once(spec: VarietySpec, k: int, ctx: PrimeContext | _Product,
                 rng: random.Random) -> Trial:
     """One trial: ranks of stacked frames of 1..k+1 samples, minus 1."""
     red, chain, samples = RowReducer(ctx.p), [], []
@@ -119,7 +141,9 @@ def secant_dim(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
     """Measure the secant dimension chain s^(0), ..., s^(k).
 
     Each s^(h) is the maximum over `trials` independent trials and all
-    primes of rank(stacked frames of h+1 samples) - 1.
+    primes of rank(stacked frames of h+1 samples) - 1.  With two or more
+    primes and no root-solving node, a trial runs once modulo their product for
+    all of them, or per prime after a non-unit pivot (module docstring).
 
     The span r + 1 reads each prime's chain points first and draws more only
     while short of full rank.  Draws are shared across measurements, never
@@ -128,9 +152,21 @@ def secant_dim(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
     """
     if k < 0 or trials < 1:
         raise ValueError("need k >= 0 and trials >= 1")
-    spans, draws = [], {}  # draws as on SecantReport
+    spans, draws = [], {ctx.p: [] for ctx in ctxs}  # draws as on SecantReport
+    both = _Product(math.prod(draws.keys())) if len(draws) > 1 and not _solves_roots(spec) else None
+    for _ in range(trials if both else 0):
+        try:
+            t = _chain_once(spec, k, both, rng)
+        except (ValueError, SampleExhausted):  # e.g. a non-unit pivot: rerun per prime
+            for ctx in ctxs:
+                draws[ctx.p].append(_chain_once(spec, k, ctx, rng))
+        else:  # each prime's own chain list, its rows shared
+            for ts in draws.values():
+                ts.append(Trial(list(t.chain), t.basis, t.samples))
     for ctx in ctxs:
-        ts = draws[ctx.p] = [_chain_once(spec, k, ctx, rng) for _ in range(trials)]
+        if not both:
+            draws[ctx.p] = [_chain_once(spec, k, ctx, rng) for _ in range(trials)]
+        ts = draws[ctx.p]
         spans.append(span_dim(spec, ctx, rng, samples=[pf for t in ts for pf in t.samples]))
     r = max(spans) - 1
     chains = [t.chain for ts in draws.values() for t in ts]

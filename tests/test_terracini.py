@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -119,10 +120,14 @@ class TestSpanReuse:
         trials = 5
         rep = secant_dim(spec, k, ctxs, derive_rng(SEED, "draws"), trials)
         assert rep.r == r and rep.agreement
+        # The chain trials draw once, modulo p1*p2, for both primes.  Each
+        # prime's span then tops up with at least the points its rank still
+        # lacks and reads at most ambient + 2 points in all.
         chain_draws = trials * (k + 1)
-        bound = chain_draws + max(0, spec.ambient + 2 - chain_draws)
-        assert sorted(drawn) == sorted(c.p for c in ctxs)
-        assert all(chain_draws <= n <= bound for n in drawn.values())
+        assert drawn.pop(math.prod(c.p for c in ctxs)) == chain_draws
+        assert set(drawn) <= {c.p for c in ctxs}
+        low, high = (max(0, spec.ambient + extra - chain_draws) for extra in (1, 2))
+        assert all(low <= drawn[c.p] <= high for c in ctxs)
 
     def test_wrong_root_surfaces(self, ctxs, rng, monkeypatch):
         # A top-up draw that yields a non-root raises instead of being
@@ -212,10 +217,14 @@ class TestTangential:
     def test_projected_spec_keeps_the_winning_prime(self, ctxs, rng, monkeypatch):
         # When the second prime reaches the larger n_k, the projection must
         # use that prime's center, not mix it with the first prime's.  Every
-        # chain trial under the first prime falls one short at order k = 1.
+        # trial modulo p1*p2 meets a non-unit pivot, as when the primes
+        # disagree, so each reruns under each prime, and every chain trial
+        # under the first prime falls one short at order k = 1.
         real = terracini._chain_once
 
         def first_prime_unlucky(spec, k, ctx, rng):
+            if ctx not in ctxs:
+                raise ValueError("base is not invertible for the given modulus")
             trial = real(spec, k, ctx, rng)
             if ctx is ctxs[0]:
                 trial.chain[1] -= 1
@@ -421,11 +430,13 @@ class TestContactShape:
         tan = tangential_projection(build_family("F11", 2).spec, 2, ctxs, rng)
         assert contact_shape(tan, rng).classification == "DivisorViaDevelopableImage"
 
-    # F11's image is developable.  Under 7-bit primes with one trial, one
-    # prime's best projection can fall short of n_k, at seeds 12 and 45 to a
-    # curve whose Gauss fiber is 0; only projections reaching n_k count.  At
-    # seed 4 both primes reach it.
-    @pytest.mark.parametrize("seed, dims", [(4, [2, 2]), (12, [1, 2]), (45, [1, 2])])
+    # F11's image is developable.  Under 7-bit primes with one trial, the
+    # trial modulo p1*p2 can meet a non-unit pivot and rerun under each prime,
+    # and then one prime's best projection can fall short of n_k: at seed 4
+    # the second prime's and at seed 186 the first prime's, each to a curve
+    # whose Gauss fiber is 0.  Only projections reaching n_k count.  At seed 0
+    # the product trial stands, so both primes reach n_k.
+    @pytest.mark.parametrize("seed, dims", [(0, [2, 2]), (4, [1, 2]), (186, [1, 2])])
     def test_short_projection_is_not_read_at_small_primes(self, seed, dims):
         entry = build_family("F11", 2)
         rng = derive_rng(seed, "verify", "F11", 2, entry.variant)
@@ -449,3 +460,115 @@ class TestCrossPrime:
             per_prime = [secant_dim(spec, 2, [ctx], rng, trials=2).chain
                          for ctx in ctxs]
             assert per_prime[0] == per_prime[1]
+
+
+class _Recording:
+    """An RNG that records every `randrange` it serves."""
+
+    def __init__(self, rng):
+        self.rng, self.drawn = rng, []
+
+    def randrange(self, *args):
+        self.drawn.append(self.rng.randrange(*args))
+        return self.drawn[-1]
+
+
+class _Replaying:
+    """Serves recorded draws reduced mod p: the same points under one prime."""
+
+    def __init__(self, drawn, p):
+        self.drawn, self.p = iter(drawn), p
+
+    def randrange(self, *args):
+        return next(self.drawn) % self.p
+
+
+class TestProductTrials:
+    """Chain trials of root-free trees run once modulo p1*p2 (5-bit primes 23, 29)."""
+
+    FIVE_BIT = make_contexts(0, bits=5)
+
+    @staticmethod
+    def record_moduli(monkeypatch) -> list:
+        """Patch `_chain_once` to record each trial's modulus and any ValueError's text."""
+        calls, real = [], terracini._chain_once
+
+        def spy(spec, k, ctx, rng):
+            calls.append(ctx.p)
+            try:
+                return real(spec, k, ctx, rng)
+            except ValueError as exc:
+                calls.append(str(exc))
+                raise
+
+        monkeypatch.setattr(terracini, "_chain_once", spy)
+        return calls
+
+    # At seed 1 no pivot of these trees' pass modulo 23*29 is a non-unit.
+    @pytest.mark.parametrize("make, k", [
+        (lambda: build_family("F10", 2).spec, 3),
+        (lambda: build_family("F13", 2, "full").spec, 2),
+        (lambda: segre_pair(projective_space(1), scroll([1, 2])), 2),
+        (lambda: cone_over(rational_normal_curve(3), 1), 2),
+        (lambda: ProjectFrom(veronese(projective_space(2), 2), [[1, 2, 3, 4, 5, 6]]), 2),
+    ], ids=["join-linear", "veronese", "segre", "cone", "projection"])
+    def test_product_trial_is_each_primes_trial(self, make, k):
+        spec = make()
+        both = terracini._Product(23 * 29)
+        rec = _Recording(derive_rng(1, "product"))
+        t = terracini._chain_once(spec, k, both, rec)
+        for ctx in self.FIVE_BIT:
+            p = ctx.p
+            per = terracini._chain_once(spec, k, ctx, _Replaying(rec.drawn, p))
+            assert per.chain == t.chain
+            assert per.basis == [(c, [a % p for a in row]) for c, row in t.basis]
+            assert per.samples == [(
+                [a % p for a in pf.point], [[a % p for a in row] for row in pf.frame])
+                for pf in t.samples]
+
+    def test_product_trial_is_filed_under_each_prime(self, monkeypatch):
+        calls = self.record_moduli(monkeypatch)
+        rep = secant_dim(build_family("F10", 2).spec, 3, self.FIVE_BIT,
+                         derive_rng(1, "product"), trials=1)
+        assert calls == [23 * 29]
+        (a,), (b,) = rep.draws[23], rep.draws[29]
+        assert a.chain == b.chain == rep.chain and a.chain is not b.chain
+        assert a.basis is b.basis and a.samples is b.samples
+
+    def test_non_unit_pivot_reruns_under_each_prime(self, monkeypatch):
+        # F13 k=2 `line` at seed 11 (primes 17 and 31): the pass modulo 17*31
+        # meets a non-unit pivot, so its one trial reruns under each prime.
+        calls = self.record_moduli(monkeypatch)
+        ctxs = make_contexts(11, bits=5)
+        rep = secant_dim(build_family("F13", 2, "line").spec, 3, ctxs,
+                         derive_rng(11, "verify", "F13", 2, "line"), trials=1)
+        assert calls == [17 * 31, "base is not invertible for the given modulus", 17, 31]
+        for p in (17, 31):
+            (t,) = rep.draws[p]
+            assert all(a < p for pf in t.samples for row in [pf.point, *pf.frame] for a in row)
+        assert rep.draws[17][0].samples is not rep.draws[31][0].samples
+
+    def test_root_solving_tree_keeps_each_prime(self, monkeypatch):
+        moduli = set()
+        roots = uniroots.roots
+
+        def prime_roots(f, p, rng):  # Z/(23*29) is no field: solve under each prime
+            assert p in (23, 29), f"roots asked for modulo {p}"
+            moduli.add(p)
+            return roots(f, p, rng)
+
+        monkeypatch.setattr(uniroots, "roots", prime_roots)
+        calls = self.record_moduli(monkeypatch)
+        secant_dim(build_family("F1", 2, "line").spec, 2, self.FIVE_BIT,
+                   derive_rng(0, "product"), trials=2)
+        assert moduli == {23, 29}
+        assert calls == [23, 23, 29, 29]
+
+    def test_one_prime_never_uses_a_product(self, monkeypatch):
+        used = set()
+        sample = VarietySpec.sample
+        monkeypatch.setattr(VarietySpec, "sample", lambda self, ctx, rng: (
+            used.add(id(ctx)), sample(self, ctx, rng))[1])
+        rep = secant_dim(build_family("F10", 2).spec, 3, self.FIVE_BIT[:1],
+                         derive_rng(1, "product"), trials=2)
+        assert used == {id(self.FIVE_BIT[0])} and list(rep.draws) == [23]
