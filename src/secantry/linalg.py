@@ -200,6 +200,23 @@ def rank(mat: list[list[int]], p: int) -> int:
     return fold(mat, p).rank
 
 
+def rank_over_q(mat: list[list[int]]) -> int:
+    """The exact rank over Q of an integer matrix, by fraction-free (Bareiss)
+    elimination: entries stay minors, so each division by the last pivot is exact."""
+    rows, r, last = [list(row) for row in mat], 0, 1
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        top = rows[r]
+        for i in range(r + 1, len(rows)):
+            c = rows[i][col]
+            rows[i] = [(top[col] * a - c * b) // last for a, b in zip(rows[i], top)]
+        last, r = top[col], r + 1
+    return r
+
+
 def row_basis(mat: list[list[int]], p: int) -> list[list[int]]:
     """A normalized basis of the row space (echelon rows, pivot-sorted)."""
     red = fold(mat, p)

@@ -13,17 +13,18 @@ point or prime can only lower a rank.  Every dimension is therefore the
 maximum over independent trials, repeated under two independently drawn
 primes, with an `agreement` flag recording whether all runs concurred.
 
-On a tree that solves for no roots, a chain trial runs once modulo N = p1*p2:
-by the Chinese remainder theorem a uniform draw mod N is an independent uniform
-draw under each prime.  While every pivot is a unit mod N, a residual 0 mod N
-is 0 under both primes and any other leads with a unit, raising both ranks, so
-the rank mod N is each prime's.  A non-unit pivot (ValueError from pow), or any
-other failure of the pass, reruns that trial under each prime.  Root-solving
-trees keep one pass per prime, as a draw would need a root under both at once.
+On a tree that solves for no roots, a measurement (chain trials, then span) runs
+once modulo N = p1*p2: by the Chinese remainder theorem a uniform draw mod N is
+an independent uniform draw under each prime.  While every pivot is a unit mod
+N, a residual 0 mod N is 0 under both primes and any other leads with a unit,
+raising both ranks, so the rank mod N is each prime's.  A non-unit pivot
+(ValueError from pow), or any other failure, reruns the whole measurement per
+prime, as root-solving trees always do: a draw would need a root under both.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 from dataclasses import dataclass, field
@@ -47,7 +48,7 @@ def expected_secant_dim(r: int, n: int, k: int) -> int:
 class Trial(NamedTuple):
     """A chain trial: s^(0..k), the pivots of its frames in the order reached, and
     its samples in draw order (the span reads their points and `hilbert2` their frames).
-    One run modulo p1*p2 is filed under both primes, its rows residues mod p1*p2."""
+    A measurement modulo p1*p2 files one list under both primes, rows mod p1*p2."""
     chain: list[int]
     basis: list[tuple[int, list[int]]]  # (pivot column, pivot row)
     samples: list[PointFrame]
@@ -71,7 +72,7 @@ class SecantReport:
     trials: int
     primes: list[int]
     agreement: bool
-    # Each prime's chain trials, keyed by p (verify_family drops them).
+    # Each prime's chain trials by p, one list shared by a run mod p1*p2 (verify_family drops them).
     draws: dict[int, list[Trial]] = field(repr=False, compare=False)
 
 
@@ -141,37 +142,31 @@ def secant_dim(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
     """Measure the secant dimension chain s^(0), ..., s^(k).
 
     Each s^(h) is the maximum over `trials` independent trials and all
-    primes of rank(stacked frames of h+1 samples) - 1.  With two or more
-    primes and no root-solving node, a trial runs once modulo their product for
-    all of them, or per prime after a non-unit pivot (module docstring).
-
-    The span r + 1 reads each prime's chain points first and draws more only
-    while short of full rank.  Draws are shared across measurements, never
-    within one, so the trials stay independent; a reused point lies on X and
-    can only lower the span's rank, the one-sided error the maxima absorb.
+    primes of rank(stacked frames of h+1 samples) - 1.  A measurement runs the
+    trials, then the span r + 1, which reads their points first and draws more
+    only while short of full rank.  With two or more primes and no root-solving
+    node it runs once modulo their product, filed under each prime, and reruns
+    per prime if that pass fails (module docstring).  Draws are shared across
+    measurements, never within one, so the trials stay independent; a reused
+    point lies on X and can only lower the span's rank, the one-sided error the
+    maxima absorb.
     """
     if k < 0 or trials < 1:
         raise ValueError("need k >= 0 and trials >= 1")
-    spans, draws = [], {ctx.p: [] for ctx in ctxs}  # draws as on SecantReport
-    both = _Product(math.prod(draws.keys())) if len(draws) > 1 and not _solves_roots(spec) else None
-    for _ in range(trials if both else 0):
-        try:
-            t = _chain_once(spec, k, both, rng)
-        except (ValueError, SampleExhausted):  # e.g. a non-unit pivot: rerun per prime
-            for ctx in ctxs:
-                draws[ctx.p].append(_chain_once(spec, k, ctx, rng))
-        else:  # each prime's own chain list, its rows shared
-            for ts in draws.values():
-                ts.append(Trial(list(t.chain), t.basis, t.samples))
-    for ctx in ctxs:
-        if not both:
-            draws[ctx.p] = [_chain_once(spec, k, ctx, rng) for _ in range(trials)]
-        ts = draws[ctx.p]
-        spans.append(span_dim(spec, ctx, rng, samples=[pf for t in ts for pf in t.samples]))
-    r = max(spans) - 1
+    def run(ctx: PrimeContext | _Product) -> tuple[list[Trial], int]:  # one measurement
+        ts = [_chain_once(spec, k, ctx, rng) for _ in range(trials)]
+        return ts, span_dim(spec, ctx, rng, samples=[pf for t in ts for pf in t.samples])
+
+    runs = {}
+    if len(ctxs) > 1 and not _solves_roots(spec):
+        with contextlib.suppress(ValueError, SampleExhausted):  # e.g. a non-unit pivot
+            runs = dict.fromkeys((c.p for c in ctxs), run(_Product(math.prod(c.p for c in ctxs))))
+    runs = runs or {ctx.p: run(ctx) for ctx in ctxs}
+    draws = {p: ts for p, (ts, _) in runs.items()}  # as on SecantReport
+    r = max(span for _, span in runs.values()) - 1
     chains = [t.chain for ts in draws.values() for t in ts]
     chain = [max(c[h] for c in chains) for h in range(k + 1)]
-    agreement = all(c == chain for c in chains) and all(s - 1 == r for s in spans)
+    agreement = all(c == chain for c in chains) and all(s - 1 == r for _, s in runs.values())
     sigma_k = expected_secant_dim(r, spec.dim, k)
     return SecantReport(k=k, r=r, n=spec.dim, chain=chain, sigma_k=sigma_k,
                         delta_k=sigma_k - chain[k], trials=trials, primes=[c.p for c in ctxs],

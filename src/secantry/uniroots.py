@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .linalg import SAMPLE_RETRIES
+from .linalg import SAMPLE_RETRIES, is_prime_u64
 
 
 def trim(f: list[int]) -> list[int]:
@@ -73,6 +73,14 @@ def poly_gcd(f: list[int], g: list[int], p: int) -> list[int]:
 
 
 @lru_cache(maxsize=64)
+def _field(p: int) -> None:
+    """ValueError unless p is prime: modulo a composite the order search of
+    `sqrt_mod` need not end.  Cached, so a call costs one lookup per modulus."""
+    if not is_prime_u64(p):
+        raise ValueError(f"modulus {p} is not prime")
+
+
+@lru_cache(maxsize=64)
 def _tonelli_shanks(p: int) -> tuple[int, int, int]:
     """(q, s, z^q mod p) for p - 1 = q * 2^s with q odd and z the least non-residue."""
     q, s = p - 1, 0
@@ -83,11 +91,12 @@ def _tonelli_shanks(p: int) -> tuple[int, int, int]:
 
 
 def sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a mod the prime p (Tonelli-Shanks), or None for a
-    non-residue.  The non-residue Tonelli-Shanks needs is found once per prime.
-    One power, b = a^((q-1)/2), gives r = a*b = a^((q+1)/2) and t = r*b = a^q;
-    t has order 2^s exactly when a is a non-residue (Euler's criterion), so
-    the order search reaching i == s stands in for a second power."""
+    """A square root of a mod the prime p (Tonelli-Shanks), None for a non-residue,
+    ValueError for a composite p.  The non-residue Tonelli-Shanks needs is found
+    once per prime.  One power, b = a^((q-1)/2), gives r = a*b = a^((q+1)/2) and
+    t = r*b = a^q; t has order 2^s exactly when a is a non-residue (Euler's
+    criterion), so the order search reaching i == s stands in for a second power."""
+    _field(p)
     a %= p
     if a == 0 or p == 2:
         return a
@@ -157,7 +166,9 @@ def _pow_shift3(a: int, e: int, f: list[int], p: int) -> list[int]:
 
 
 def roots(f: list[int], p: int, rng: random.Random) -> list[int]:
-    """All roots of f in F_p, sorted ascending.  f must be nonzero mod p."""
+    """All roots of f in F_p, sorted ascending.  f must be nonzero mod p, and p
+    prime (ValueError otherwise)."""
+    _field(p)
     f = trim([c % p for c in f])
     if not f:
         raise ValueError("zero polynomial has every root")

@@ -851,8 +851,11 @@ def _node_from_obj(obj: dict) -> VarietySpec:
             proj = ProjectFrom(child, [[_json_int(x) for x in row] for row in obj["center"]],
                                dim=_json_int(obj.get("dim"), 0, optional=True),
                                degree=_json_int(obj.get("degree"), 1, optional=True))
-            # Rows dependent over Q stay dependent modulo every prime.
-            if linalg.rank(proj.center, (1 << 61) - 1) != len(proj.center):
+            # Rows independent modulo a prime are independent over Q.  Rows
+            # dependent modulo 2^61 - 1 may not be, so their rank is read over Q,
+            # exactly but at a cost that grows with the entries' size.
+            n = len(proj.center)
+            if linalg.rank(proj.center, (1 << 61) - 1) != n and linalg.rank_over_q(proj.center) != n:
                 raise ValueError("center rows are linearly dependent")
             return proj
         if op == "hypersurface":

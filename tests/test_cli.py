@@ -193,6 +193,21 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err == "error: sampling failed: projection center rows are dependent mod p\n"
 
+    # 2^61 - 1 divides the second row, so these rows are dependent modulo
+    # that prime but independent over Q: the loader keeps them.  Rows
+    # dependent over Q, however large their entries, are refused (exit 1).
+    @pytest.mark.parametrize("center, code", [
+        ([[1, 0, 0, 0], [0, 2**61 - 1, 0, 0]], 0),
+        ([[1, 2**61 - 1, 0, 0], [2**61 - 1, (2**61 - 1) ** 2, 0, 0]], 1),
+    ], ids=["independent-over-q", "dependent-over-q"])
+    def test_center_rank_is_read_over_q(self, center, code, tmp_path, capsys):
+        spec = tmp_path / "center.variety.json"
+        spec.write_text(json.dumps({"op": "project", "center": center,
+                                    "child": {"op": "scroll", "degrees": [3]}}))
+        assert run(["analyze", str(spec), "--k", "1"]) == code
+        err = capsys.readouterr().err
+        assert err.endswith("node: center rows are linearly dependent\n") if code else err == ""
+
     # Each `^` is capped at mpoly.MAX_EXPONENT, but products of capped
     # powers could still expand for minutes, so these run in a subprocess
     # that the timeout stops.

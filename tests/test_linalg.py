@@ -10,7 +10,7 @@ import sympy
 from secantry.linalg import (PACK_MIN_WIDTH, PrimeContext, RowReducer,
                              derive_rng, is_prime_u64, kernel_apply, kernel_basis,
                              kernel_columns, make_contexts, mat_vec, random_prime,
-                             rank, row_basis)
+                             rank, rank_over_q, row_basis)
 from secantry.variety import _section
 
 from seeds import SEED
@@ -129,6 +129,20 @@ class TestRank:
         mat = [[rng.randrange(p) for _ in range(5)] for _ in range(3)]
         tr = [list(col) for col in zip(*mat)]
         assert rank(mat, p) == rank(tr, p)
+
+    def test_rank_over_q_vs_fraction_oracle(self, rng):
+        # Rank-deficient integer lifts, some with zero columns and entries
+        # past 2^61, where a rank modulo 2^61 - 1 can fall short of Q's.
+        for i in range(300):
+            m, n, r = rng.randint(1, 5), rng.randint(1, 6), rng.randint(1, 4)
+            base = [[rng.randint(-9, 9) * (j % 3 or i % 2) for j in range(n)] for _ in range(r)]
+            mat = [[sum(rng.randint(-3, 3) * row[j] for row in base) for j in range(n)]
+                   for _ in range(m)]
+            big = [[a * rng.choice([1, 2**61 - 1, -10**30]) for a in row] for row in mat]
+            assert rank_over_q(mat) == fraction_rank(mat)
+            assert rank_over_q(big) == fraction_rank(big)
+        mersenne = [[1, 0], [0, 2**61 - 1]]
+        assert rank_over_q(mersenne) == 2 > rank(mersenne, 2**61 - 1)
 
 
 class TestKernel:

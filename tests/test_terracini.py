@@ -72,12 +72,13 @@ class TestSecantDim:
     @pytest.mark.parametrize("short", [0, 1])
     def test_span_keeps_the_larger_prime(self, ctxs, rng, monkeypatch, short):
         # One prime's span falls a rank short; r is the other prime's, and
-        # the flag records the disagreement.
+        # the flag records the disagreement.  A quadric surface solves for a
+        # root, so each prime runs its own measurement, span included.
         span = terracini.span_dim
         monkeypatch.setattr(terracini, "span_dim", lambda spec, ctx, rng, samples=():
                             span(spec, ctx, rng, samples) - (ctx.p == ctxs[short].p))
-        rep = secant_dim(veronese(projective_space(2), 2), 1, ctxs, rng)
-        assert rep.r == 5 and not rep.agreement
+        rep = secant_dim(hypersurface(3, parse_poly("x0*x3 - x1*x2", 4)), 1, ctxs, rng)
+        assert rep.r == 3 and not rep.agreement
 
     def test_expected_dim_formula(self):
         assert expected_secant_dim(9, 3, 1) == 7
@@ -120,14 +121,13 @@ class TestSpanReuse:
         trials = 5
         rep = secant_dim(spec, k, ctxs, derive_rng(SEED, "draws"), trials)
         assert rep.r == r and rep.agreement
-        # The chain trials draw once, modulo p1*p2, for both primes.  Each
-        # prime's span then tops up with at least the points its rank still
+        # The chain trials and the span draw once, modulo p1*p2, for both
+        # primes: the span tops up with at least the points its rank still
         # lacks and reads at most ambient + 2 points in all.
         chain_draws = trials * (k + 1)
-        assert drawn.pop(math.prod(c.p for c in ctxs)) == chain_draws
-        assert set(drawn) <= {c.p for c in ctxs}
-        low, high = (max(0, spec.ambient + extra - chain_draws) for extra in (1, 2))
-        assert all(low <= drawn[c.p] <= high for c in ctxs)
+        assert set(drawn) == {math.prod(c.p for c in ctxs)}
+        low, high = (max(chain_draws, spec.ambient + extra) for extra in (1, 2))
+        assert low <= sum(drawn.values()) <= high
 
     def test_wrong_root_surfaces(self, ctxs, rng, monkeypatch):
         # A top-up draw that yields a non-root raises instead of being
@@ -431,12 +431,13 @@ class TestContactShape:
         assert contact_shape(tan, rng).classification == "DivisorViaDevelopableImage"
 
     # F11's image is developable.  Under 7-bit primes with one trial, the
-    # trial modulo p1*p2 can meet a non-unit pivot and rerun under each prime,
-    # and then one prime's best projection can fall short of n_k: at seed 4
-    # the second prime's and at seed 186 the first prime's, each to a curve
-    # whose Gauss fiber is 0.  Only projections reaching n_k count.  At seed 0
-    # the product trial stands, so both primes reach n_k.
-    @pytest.mark.parametrize("seed, dims", [(0, [2, 2]), (4, [1, 2]), (186, [1, 2])])
+    # measurement modulo p1*p2 can meet a non-unit pivot, in its trial or its
+    # span, and rerun under each prime, and then one prime's best projection
+    # can fall short of n_k: at seed 102 the second prime's (a span pivot) and
+    # at seed 186 the first prime's (a trial pivot), each to a curve whose
+    # Gauss fiber is 0.  Only projections reaching n_k count.  At seed 0 both
+    # primes' reruns reach n_k.
+    @pytest.mark.parametrize("seed, dims", [(0, [2, 2]), (102, [1, 2]), (186, [1, 2])])
     def test_short_projection_is_not_read_at_small_primes(self, seed, dims):
         entry = build_family("F11", 2)
         rng = derive_rng(seed, "verify", "F11", 2, entry.variant)
@@ -528,12 +529,33 @@ class TestProductTrials:
 
     def test_product_trial_is_filed_under_each_prime(self, monkeypatch):
         calls = self.record_moduli(monkeypatch)
-        rep = secant_dim(build_family("F10", 2).spec, 3, self.FIVE_BIT,
+        # At seed 1 no pivot of the cone's trial or span modulo 23*29 is a non-unit.
+        rep = secant_dim(cone_over(rational_normal_curve(3), 1), 2, self.FIVE_BIT,
                          derive_rng(1, "product"), trials=1)
         assert calls == [23 * 29]
-        (a,), (b,) = rep.draws[23], rep.draws[29]
-        assert a.chain == b.chain == rep.chain and a.chain is not b.chain
-        assert a.basis is b.basis and a.samples is b.samples
+        (t,) = rep.draws[23]
+        assert rep.draws[29] is rep.draws[23] and t.chain == rep.chain
+
+    # The pass modulo p1*p2 is discarded whole at its first non-unit pivot:
+    # F10 at seed 2 (primes 31 and 29) meets it in its third trial, F11 at
+    # seed 0 (23 and 29) in the span after its three trials.  Each prime then
+    # runs every trial and its span; no further pass runs modulo p1*p2.
+    @pytest.mark.parametrize("family, seed, trials, product", [
+        ("F10", 2, 5, [899] * 3 + ["base is not invertible for the given modulus"]),
+        ("F11", 0, 3, [667] * 3 + ["span mod 667"]),
+    ], ids=["in-trial", "in-span"])
+    def test_failed_product_pass_is_not_resumed(self, monkeypatch, family, seed, trials, product):
+        calls = self.record_moduli(monkeypatch)
+        span = terracini.span_dim
+        monkeypatch.setattr(terracini, "span_dim", lambda spec, ctx, rng, samples=(): (
+            calls.append(f"span mod {ctx.p}"), span(spec, ctx, rng, samples))[1])
+        ctxs = make_contexts(seed, bits=5)
+        rep = secant_dim(build_family(family, 2).spec, 2, ctxs, derive_rng(seed, "product"), trials)
+        p1, p2 = (c.p for c in ctxs)
+        assert p1 * p2 == product[0]
+        assert calls == product + ([p1] * trials + [f"span mod {p1}"]
+                                   + [p2] * trials + [f"span mod {p2}"])
+        assert rep.draws[p1] is not rep.draws[p2]
 
     def test_non_unit_pivot_reruns_under_each_prime(self, monkeypatch):
         # F13 k=2 `line` at seed 11 (primes 17 and 31): the pass modulo 17*31

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import secantry
 from secantry.linalg import derive_rng
 from secantry.uniroots import (_pow_shift, _split_linear, poly_divmod, poly_gcd, poly_sub,
                                roots, sqrt_mod, trim)
@@ -242,6 +247,29 @@ class TestSplitLinear:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, old)
+
+
+class TestCompositeModulus:
+    def test_composite_modulus_is_refused_not_searched_forever(self):
+        # Modulo 23*29 the Tonelli-Shanks order search never reaches 1 for
+        # 3 * -1, so a refusal must come before it.  The calls run in a
+        # subprocess: a hang fails on the timeout instead of stalling the suite.
+        script = (
+            "import random\n"
+            "from secantry import uniroots\n"
+            "for call in (lambda: uniroots.roots([3, 0, 1], 23 * 29, random.Random(0)),\n"
+            "             lambda: uniroots.sqrt_mod(-3, 23 * 29),\n"
+            "             lambda: uniroots.roots([1, 1], 4, random.Random(0))):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(secantry.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["modulus 667 is not prime"] * 2 + [
+            "modulus 4 is not prime"]
 
 
 class TestPolyOps:
