@@ -9,6 +9,14 @@ the maximum observed value across primes and trials is the accepted one.
 
 Field elements are plain ints in [0, p); a matrix is a list of rows.
 
+Two routines eliminate.  RowReducer normalizes each pivot row with one
+inverse, which pays where a row meets many pivots: in chain trials, spans,
+`hilbert2` and kernels a row meets about ten before it is added.  A sampled
+frame's rows meet about 1.6, where that inverse costs more than the
+elimination it saves, so `row_basis` uses none: it scales instead, as
+fraction-free elimination does (Bareiss, Math. Comp. 22 (1968)), and returns
+echelon rows that are not normalized.
+
 RowReducer reduces lazily: a pivot step reads one coefficient c mod p and adds
 `(p - c) * pivot` unreduced from the pivot column on, as a pivot row is zero
 left of it; `_reduce` leaves entries unreduced, and `residual` and `add`
@@ -20,12 +28,15 @@ Reduced, it is 0 mod p at each pivot column: only its free columns are
 unpacked, and a pivot row is packed from its pivot column on.  Narrower
 rows stay lists.
 
-A RowReducer may run modulo a product N of distinct primes.  Its rank is each
-prime's while every pivot is a unit mod N; a non-unit pivot raises ValueError.
+A RowReducer or `row_basis` may run modulo a product N of distinct primes.  Its
+rank is each prime's while every pivot is a unit mod N; a non-unit pivot raises
+ValueError.  The two keep unit multiples of the same rows, so both raise at the
+same row.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -112,11 +123,11 @@ def make_contexts(seed: int, count: int = 2, bits: int = 62) -> list[PrimeContex
 class RowReducer:
     """Incremental Gaussian elimination over F_p.
 
-    Rows are fed one at a time; each independent row is normalized (pivot 1)
-    and stored keyed by its pivot column.  Supports rank queries and
-    membership tests against the accumulated row space.  The first row
-    fixes the width: a row of any other width raises ValueError.  `pivots`
-    holds lists even when rows are eliminated packed.
+    Rows are fed one at a time; each independent row is normalized (pivot 1),
+    unlike a `row_basis` row, and stored keyed by its pivot column.  Supports
+    rank queries and membership tests against the accumulated row space.  The
+    first row fixes the width: a row of any other width raises ValueError.
+    `pivots` holds lists even when rows are eliminated packed.
     """
 
     def __init__(self, p: int):
@@ -218,9 +229,31 @@ def rank_over_q(mat: list[list[int]]) -> int:
 
 
 def row_basis(mat: list[list[int]], p: int) -> list[list[int]]:
-    """A normalized basis of the row space (echelon rows, pivot-sorted)."""
-    red = fold(mat, p)
-    return [red.pivots[c] for c in sorted(red.pivots)]
+    """A basis of the row space mod p: echelon rows, pivot-sorted, not normalized.
+
+    Each row is reduced against the rows kept so far, without inverses, as
+    v*row - row[c]*kept (v the kept row's pivot entry at column c), and kept
+    when a nonzero entry is left, its first one being its pivot.  A kept pivot
+    that is not a unit mod p (p a product of distinct primes) raises ValueError."""
+    kept: dict[int, list[int]] = {}  # pivot column -> row
+    width = len(mat[0]) if mat else 0
+    for row in mat:
+        if len(row) != width:
+            raise ValueError(f"row of width {len(row)} in a span of width {width}")
+        r = row
+        for c, prow in kept.items():  # in the order kept: each is 0 at earlier pivots
+            if a := r[c] % p:
+                v = prow[c]
+                r = [(v * x - a * y) % p for x, y in zip(r, prow)]
+        for c, a in enumerate(r):
+            if a % p:
+                if r is row:  # no step reduced it
+                    r = [x % p for x in row]
+                if math.gcd(r[c], p) != 1:
+                    raise ValueError("base is not invertible for the given modulus")
+                kept[c] = r
+                break
+    return [kept[c] for c in sorted(kept)]
 
 
 def kernel_basis(mat: list[list[int]], p: int) -> list[list[int]]:

@@ -18,7 +18,7 @@ once modulo N = p1*p2: by the Chinese remainder theorem a uniform draw mod N is
 an independent uniform draw under each prime.  While every pivot is a unit mod
 N, a residual 0 mod N is 0 under both primes and any other leads with a unit,
 raising both ranks, so the rank mod N is each prime's.  A non-unit pivot
-(ValueError from pow), or any other failure, reruns the whole measurement per
+(a ValueError from `linalg`), or any other failure, reruns the whole measurement per
 prime, as root-solving trees always do: a draw would need a root under both.
 """
 
@@ -87,8 +87,9 @@ class ScanResult:
 class TangentialReport:
     """Image dimension of a general k-tangential projection.
 
-    `projections` pairs each prime whose trials reached a full-rank center with
-    its projection (bound to it, of dimension its n_k); `projected_spec` is the maximum.
+    `projections` pairs each prime whose trials reached a full-rank center and
+    gained rank past it with its projection (bound to it, of dimension its n_k);
+    `projected_spec` is the maximum.
     """
 
     k: int
@@ -201,8 +202,10 @@ def tangential_projection(spec: VarietySpec, k: int, ctxs: list[PrimeContext], r
     count, so n_k errs only low when the accepted s^(k-1) is correct, as it is
     when it reaches min(R, n*k + k - 1), R the ambient dimension.  Below that
     an s^(k-1) read low can read n_k high.  Each prime projects from the first
-    k frames of its best such trial; projected_spec reached the maximum, the
-    first prime's on a tie, and is bound to its prime.
+    k frames of its best such trial, unless that trial gained no rank at order
+    k (an image of dimension -1); projected_spec reached the maximum, the first
+    prime's on a tie, and is bound to its prime.  SampleExhausted when no prime
+    keeps a projection.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -217,10 +220,14 @@ def tangential_projection(spec: VarietySpec, k: int, ctxs: list[PrimeContext], r
     projections = []
     for ctx in ctxs:
         full = [t for t in report.draws[ctx.p] if t.chain[k - 1] == s]
-        if full:  # the first k frames' row basis: the first s + 1 pivots, column-sorted
-            chain, basis, _ = max(full, key=lambda t: t.chain[k])
-            projections.append((ctx, ProjectFrom(spec, [row for _, row in sorted(basis[:s + 1])],
-                                                 dim=chain[k] - s - 1, bound_p=ctx.p)))
+        # A best trial gaining no rank at order k would project to dimension -1.
+        if full and (top := max(full, key=lambda t: t.chain[k])).chain[k] > s:
+            # The first k frames' row basis: the first s + 1 pivots, column-sorted.
+            center = [row for _, row in sorted(top.basis[:s + 1])]
+            projections.append((ctx, ProjectFrom(spec, center, dim=top.chain[k] - s - 1,
+                                                 bound_p=ctx.p)))
+    if not projections:
+        raise SampleExhausted(f"no full-rank trial gained rank at order {k}")
     best = max((proj for _, proj in projections), key=lambda proj: proj.dim)
     return TangentialReport(k=k, n_k=best.dim, m_k=spec.dim - best.dim,
                             projected_spec=best, projections=projections)

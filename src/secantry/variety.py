@@ -6,10 +6,12 @@ affine tangent space of the cone there (n = projective dimension), so
 every dimension question downstream becomes a matrix rank minus one.  A
 node's `_sample_once` raises `_Resample(cause)` on a degenerate draw.
 
-Frames are eliminated once: `_framed` takes a row basis and checks its
-size (`frame_rank`) where rows can be dependent (Parametric, SegrePair,
-ProjectFrom, RestrictedChart).  The others build a basis.
-Hypersurface: the kernel of one nonzero gradient row.  ConeOver: the
+A frame is any basis, not a normalized one: frames are eliminated once,
+and `_framed` takes the echelon basis `linalg.row_basis` gives (rows not
+normalized) and checks its size (`frame_rank`) where rows can be dependent
+(Parametric, SegrePair, ProjectFrom, RestrictedChart).  The others build a
+basis, and none inverts: the root-solving nodes cut theirs with `_section`.
+Hypersurface: the unit rows cut by one nonzero gradient row.  ConeOver: the
 child's padded frame plus the vertex's unit rows (block-triangular).
 ConeSection: the combinations of the child's padded frame and the ruling
 row (dim+2 independent rows, the ruling alone reaching the new coordinate)
@@ -102,14 +104,16 @@ def _pick_root(g: MPoly, values: list[int], j: int, p: int,
 
 
 def _section(rows: list[list[int]], pairing: list[int], p: int) -> list[list[int]]:
-    """The combinations c . rows with c orthogonal to `pairing`: row f minus pairing[f] /
-    pairing[j] times row j for f != j, j its first entry nonzero mod p; with no j, every row."""
+    """The combinations c . rows with c orthogonal to `pairing`: pairing[j] times row f
+    minus pairing[f] times row j for f != j, j its first entry nonzero mod p; with no j,
+    every row.  Independent rows give independent combinations, pairing[j] being a unit
+    mod the prime p."""
     j = next((f for f, a in enumerate(pairing) if a % p), None)
     if j is None:
         return [[a % p for a in row] for row in rows]
-    inv = pow(pairing[j], -1, p)
-    return [[(a + c * b) % p for a, b in zip(row, rows[j])]
-            for f, row in enumerate(rows) if f != j for c in [-pairing[f] * inv % p]]
+    v = pairing[j]
+    return [[(v * a - c * b) % p for a, b in zip(row, rows[j])]
+            for f, row in enumerate(rows) if f != j for c in [pairing[f]]]
 
 
 class PointFrame(NamedTuple):
@@ -423,7 +427,8 @@ class Hypersurface(VarietySpec):
             raise _Resample("zero_point")
         if not any(grad):
             raise _Resample("singular_point")
-        return PointFrame(point, linalg.kernel_basis([grad], p))
+        units = [[int(i == f) for i in range(self.m + 1)] for f in range(self.m + 1)]
+        return PointFrame(point, _section(units, grad, p))
 
     def to_obj(self):
         return {"op": "hypersurface", "m": self.m, "equation": poly_str(self.g)}
@@ -758,9 +763,11 @@ def span_dim(spec: VarietySpec, ctx: PrimeContext, rng: random.Random,
              samples: Sequence[PointFrame] = ()) -> int:
     """h_X(1): the number of independent coordinates on X, i.e. dim<X> + 1.
 
-    Reads the points of the given `samples` of X first, then fresh samples,
-    until the rank is full or ambient+2 points were read in all, so a rank
-    deficit reflects the variety, not undersampling.
+    Reads the points of the given `samples` of X first, all of them unless the
+    rank is full before, however many there are.  Only then, while the rank is
+    short, does it draw fresh samples, until ambient+2 points were read in all
+    (none when the given samples are that many), so a rank deficit reflects the
+    variety, not undersampling.
     """
     fresh = (spec.sample(ctx, rng) for _ in range(spec.ambient + 2 - len(samples)))
     points = (pf.point for pf in itertools.chain(samples, fresh))

@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from secantry.linalg import (PACK_MIN_WIDTH, PrimeContext, RowReducer,
-                             derive_rng, is_prime_u64, kernel_apply, kernel_basis,
+                             derive_rng, fold, is_prime_u64, kernel_apply, kernel_basis,
                              kernel_columns, make_contexts, mat_vec, random_prime,
                              rank, rank_over_q, row_basis)
 from secantry.variety import _section
@@ -294,12 +294,85 @@ class TestSpan:
         assert rank(basis + mat, p) == len(basis)
 
 
+def basis_test_rows(rng, p, width, m):
+    """m rows of entries in [-p, 2p): random ones with zeros, rows 0 mod p and
+    combinations of the rows before them."""
+    rows = []
+    for _ in range(m):
+        kind = rng.choice(("random", "zero", "dependent"))
+        if kind == "zero":
+            rows.append([p * rng.randrange(-1, 2) for _ in range(width)])
+        elif kind == "dependent" and rows:
+            cs = [rng.randrange(p) for _ in rows]
+            rows.append([sum(c * r[i] for c, r in zip(cs, rows)) % p - rng.randrange(2) * p
+                         for i in range(width)])
+        else:
+            rows.append([rng.randrange(-p, 2 * p) if rng.randrange(4) else 0
+                         for _ in range(width)])
+    return rows
+
+
+def first_nonzero(row):
+    return next(c for c, a in enumerate(row) if a)
+
+
+class TestRowBasis:
+    """`row_basis` eliminates without inverses: echelon rows, not normalized."""
+
+    @pytest.mark.parametrize("p", [31, 3612720013493706217])
+    def test_echelon_rows_span_the_reducers_pivots(self, p):
+        rng = derive_rng(SEED, "row-basis", p)
+        for width in range(1, 12):
+            for _ in range(20):
+                mat = basis_test_rows(rng, p, width, rng.randrange(1, width + 3))
+                held = [list(row) for row in mat]
+                basis, pivots = row_basis(mat, p), fold(mat, p).pivots
+                assert mat == held
+                # Echelon and pivot-sorted: pivot columns strictly increase, and
+                # they are the reducer's.
+                leads = [first_nonzero(row) for row in basis]
+                assert leads == sorted(pivots)
+                assert all(0 <= a < p for row in basis for a in row)
+                # Each row is its pivot entry times the reducer's normalized row.
+                assert basis == [[row[c] * b % p for b in pivots[c]]
+                                 for c, row in zip(leads, basis)]
+
+    def test_product_modulus_fails_where_fold_fails(self):
+        rng, n = derive_rng(SEED, "row-basis-product"), 23 * 29
+        outcomes = set()
+        for width in range(1, 10):
+            for _ in range(30):
+                mat = basis_test_rows(rng, n, width, rng.randrange(1, width + 3))
+                try:
+                    fold(mat, n)
+                except ValueError:
+                    outcomes.add("non-unit pivot")
+                    with pytest.raises(ValueError, match="not invertible"):
+                        row_basis(mat, n)
+                    continue
+                outcomes.add("unit pivots")
+                both = row_basis(mat, n)
+                for p in (23, 29):
+                    own = row_basis(mat, p)
+                    assert len(own) == len(both)
+                    # Row for row, a unit multiple of that prime's own row.
+                    for row, mine in zip(both, own):
+                        c = first_nonzero(mine)
+                        u = row[c] * pow(mine[c], -1, p) % p
+                        assert u and [a % p for a in row] == [u * a % p for a in mine]
+        assert outcomes == {"non-unit pivot", "unit pivots"}
+
+
 class TestRaggedRows:
     """The first row fixes a reducer's width; any other width raises."""
 
     def test_rank_rejects_a_short_row(self):
         with pytest.raises(ValueError, match="width"):
             rank([[1, 2], [3]], 101)
+
+    def test_row_basis_rejects_a_short_row(self):
+        with pytest.raises(ValueError, match="width"):
+            row_basis([[1, 2], [3]], 101)
 
     def test_kernel_rejects_a_short_row(self):
         with pytest.raises(ValueError, match="width"):
@@ -527,7 +600,9 @@ class TestKernelColumns:
         # An all-zero pairing: the kernel is the identity, rows come back mod p.
         wide = [[a + p for a in row] for row in rows]
         assert _section(wide, [0] * 4, p) == rows
-        # A generic pairing, against the dense product it replaced.
+        # A generic pairing: the dense product through the kernel map, each row
+        # times pairing[0], the entry _section scales by in place of inverting it.
         pairing = [rng.randrange(1, p) for _ in range(4)]
         kmap = kernel_basis([pairing], p)
-        assert _section(rows, pairing, p) == dense_apply_map(kmap, list(zip(*rows)), p)
+        assert _section(rows, pairing, p) == [[pairing[0] * a % p for a in row]
+                                              for row in dense_apply_map(kmap, list(zip(*rows)), p)]

@@ -237,6 +237,27 @@ class TestTangential:
         pf = tan.projected_spec.sample(ctxs[1], rng)
         assert len(pf.frame) == tan.n_k + 1
 
+    def test_trial_gaining_no_rank_keeps_no_projection(self):
+        # F11 k=2 at 7-bit seed 153: the best full-rank trial under 107 reads
+        # chain [3, 7, 7, 9], no gain at k = 2, so only 89's projection stands.
+        res = verify_family(build_family("F11", 2), make_contexts(153, bits=7),
+                            derive_rng(153, "verify", "F11", 2, "default"), trials=1)
+        tan = res.tangential
+        assert [(ctx.p, proj.dim) for ctx, proj in tan.projections] == [(89, 1)]
+        assert tan.n_k == 1 and tan.projected_spec.bound_p == 89
+
+    def test_no_prime_gaining_rank_is_exhausted(self, ctxs, rng, monkeypatch):
+        real = terracini._chain_once
+
+        def no_gain(spec, k, ctx, rng):
+            trial = real(spec, k, ctx, rng)
+            trial.chain[1] = trial.chain[0]
+            return trial
+
+        monkeypatch.setattr(terracini, "_chain_once", no_gain)
+        with pytest.raises(SampleExhausted, match="gained rank at order 1"):
+            tangential_projection(veronese(projective_space(3), 2), 1, ctxs, rng)
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_short_report_is_refused(self, ctxs, rng, k):
         # n_k reads chain[k] of every trial: a report measured to order 1
@@ -484,6 +505,13 @@ class _Replaying:
         return next(self.drawn) % self.p
 
 
+def _monic(row, p):
+    """`row` mod p divided by its first entry nonzero mod p."""
+    lead = next(a for a in row if a % p)
+    inv = pow(lead, -1, p)
+    return [a * inv % p for a in row]
+
+
 class TestProductTrials:
     """Chain trials of root-free trees run once modulo p1*p2 (5-bit primes 23, 29)."""
 
@@ -523,9 +551,11 @@ class TestProductTrials:
             per = terracini._chain_once(spec, k, ctx, _Replaying(rec.drawn, p))
             assert per.chain == t.chain
             assert per.basis == [(c, [a % p for a in row]) for c, row in t.basis]
-            assert per.samples == [(
-                [a % p for a in pf.point], [[a % p for a in row] for row in pf.frame])
-                for pf in t.samples]
+            # Frames agree up to a unit per row: where a pivot coefficient is a
+            # nonzero multiple of p, the product pass scales the row it reduces.
+            assert [(pf.point, [_monic(row, p) for row in pf.frame]) for pf in per.samples] \
+                == [([a % p for a in pf.point], [_monic(row, p) for row in pf.frame])
+                    for pf in t.samples]
 
     def test_product_trial_is_filed_under_each_prime(self, monkeypatch):
         calls = self.record_moduli(monkeypatch)
