@@ -82,8 +82,10 @@ def _measure(spec: VarietySpec, k: int, k_max: int, seed: int, trials: int) -> d
         # Tangent spans already fill the ambient space: nothing to project.
         shape = terracini.ContactShape("Indeterminate", 0)
         n_k = m_k = None
-    # The chain already measured the span: h1 = dim<X> + 1; h2 reads its samples first.
-    samples = {p: [pf for t in ts for pf in t.samples] for p, ts in top.draws.items()}
+    # The chain already measured the span: h1 = dim<X> + 1; h2 reads its samples first,
+    # one list per distinct trial list, so trials run modulo p1*p2 stay shared.
+    lists = {id(ts): [pf for t in ts for pf in t.samples] for ts in top.draws.values()}
+    samples = {p: lists[id(ts)] for p, ts in top.draws.items()}
     return _report(spec, top, k, seed, n_k, m_k, contact_shape=shape.classification,
                    h1=top.r + 1, h2=hilbert.hilbert2(spec, ctxs, rng, samples))
 

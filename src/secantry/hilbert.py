@@ -5,6 +5,11 @@ matrix whose columns are all degree-2 monomials in the ambient
 coordinates, evaluated at points of X until it stops rising (`hilbert2`).
 Evaluation works uniformly for implicit-backed varieties and avoids the
 term blowup of composing coordinate polynomials symbolically.
+
+Both measurements here, h1 and h2, run under `variety.per_modulus`, as the
+chain trials do: once modulo p1*p2 on a tree that solves for no roots (for
+h2, when every prime's samples are one shared list), and per prime when that
+pass fails or does not apply.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from .linalg import PrimeContext, fold
-from .variety import PointFrame, VarietySpec, Veronese, span_dim
+from .variety import PointFrame, VarietySpec, Veronese, per_modulus, span_dim
 
 STALL = 8  # hilbert2 stops once this many points in a row add no rank
 
@@ -41,13 +46,23 @@ def hilbert2(spec: VarietySpec, ctxs: list[PrimeContext], rng: random.Random,
              samples: dict[int, list[PointFrame]] | None = None) -> int:
     """h_X(2) = h_{v2(X)}(1) of an irreducible X: the rank of v2 at points of X.
 
-    Per prime p, one RowReducer takes two phases from one stream of samples:
-    `samples[p]` (samples of X, such as the chain trials' `Trial.samples`),
-    then fresh ones; the maximum across primes is reported.  Tangent phase:
-    the n+1 rows x.v (v over the frame of the next sample x) until the rank
-    is full or a row adds nothing.  Point phase: v2(q) for the samples q the
-    tangent phase never reached, until the rank is full, STALL points in a
-    row add no rank, or C(R+2, 2) + STALL points (R+1 coordinates) were read.
+    A pass is one RowReducer taking two phases from one stream of samples: the
+    given ones (samples of X, such as the chain trials' `Trial.samples`), then
+    fresh ones.  Tangent phase: the n+1 rows x.v (v over the frame of the next
+    sample x) until the rank is full or a row adds nothing.  Point phase: v2(q)
+    for the samples q the tangent phase never reached, until the rank is full,
+    STALL points in a row add no rank, or C(R+2, 2) + STALL points (R+1
+    coordinates) were read.  The maximum over passes is reported.
+
+    Passes run under `variety.per_modulus`.  On a tree that solves for no roots,
+    given no samples or one list shared by every prime (`samples[p1] is
+    samples[p2]`, as a chain measured modulo p1*p2 files them), one pass runs
+    modulo p1*p2.  Each stop reads only ranks and idle counts, and while every
+    pivot is a unit each row raises the rank mod p1*p2 exactly when it raises
+    both primes' ranks, so the pass stops where each prime's would on the same
+    draws.  A non-unit pivot or an exhausted sampler discards it, and one pass
+    runs per prime on `samples[p]`, as for root-solving trees, unshared samples
+    and one prime.
 
     No row x.v lifts the rank past h2: B_Q(x, v) = 0 for every quadric Q on
     X and v tangent to the cone at x, so x.v lies in span v2(X).  The
@@ -63,20 +78,21 @@ def hilbert2(spec: VarietySpec, ctxs: list[PrimeContext], rng: random.Random,
     points in a row: an error that only lowers the rank, like every other
     the maxima absorb.  On a reducible X, points can stall on one component.
     """
-    best = 0
     v2 = Veronese(spec, 2)
     ncols = v2.ambient + 1
-    for ctx in ctxs:
+
+    def run(ctx, given) -> int:  # one pass
         p = ctx.p
         fresh = (spec.sample(ctx, rng) for _ in itertools.count())
-        stream = itertools.chain((samples or {}).get(p, ()), fresh)
+        stream = itertools.chain(given or (), fresh)
         tangent = (row for pf in stream for row in v2.push(pf.point, pf.frame, p).frame)
         red = fold(tangent, p, ncols, 1)
         if red.rank < ncols:
             points = itertools.islice(stream, ncols + STALL)  # the samples not yet read
             fold((v2.push(pf.point, (), p).point for pf in points), p, ncols, STALL, red)
-        best = max(best, red.rank)
-    return best
+        return red.rank
+
+    return max(per_modulus(spec, ctxs, run, samples).values())
 
 
 @dataclass
@@ -98,7 +114,7 @@ def hilbert_report(spec: VarietySpec, ctxs: list[PrimeContext],
     The bound is computed against the span dimension r = h1 - 1, since
     monomial presentations may be ambient-degenerate.
     """
-    h1 = max(span_dim(spec, ctx, rng) for ctx in ctxs)
+    h1 = max(per_modulus(spec, ctxs, lambda ctx, _: span_dim(spec, ctx, rng)).values())
     h2 = hilbert2(spec, ctxs, rng)
     rep = HilbertReport(h1=h1, h2=h2)
     if spec.degree is not None:

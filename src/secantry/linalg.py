@@ -31,7 +31,9 @@ rows stay lists.
 A RowReducer or `row_basis` may run modulo a product N of distinct primes.  Its
 rank is each prime's while every pivot is a unit mod N; a non-unit pivot raises
 ValueError.  The two keep unit multiples of the same rows, so both raise at the
-same row.
+same row.  The packed-slot bound holds for N as written, its slot bits coming
+from N.bit_length(): modulo two 62-bit primes a slot of `hilbert2`'s widest
+rows (2**13 columns) takes 33 bytes, against 18 modulo one.
 """
 
 from __future__ import annotations

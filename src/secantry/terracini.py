@@ -13,19 +13,13 @@ point or prime can only lower a rank.  Every dimension is therefore the
 maximum over independent trials, repeated under two independently drawn
 primes, with an `agreement` flag recording whether all runs concurred.
 
-On a tree that solves for no roots, a measurement (chain trials, then span) runs
-once modulo N = p1*p2: by the Chinese remainder theorem a uniform draw mod N is
-an independent uniform draw under each prime.  While every pivot is a unit mod
-N, a residual 0 mod N is 0 under both primes and any other leads with a unit,
-raising both ranks, so the rank mod N is each prime's.  A non-unit pivot
-(a ValueError from `linalg`), or any other failure, reruns the whole measurement per
-prime, as root-solving trees always do: a draw would need a root under both.
+A measurement (chain trials, then span) runs under `variety.per_modulus`: once
+modulo p1*p2 on a tree that solves for no roots, filed under each prime, and
+rerun whole per prime when that pass fails or the tree solves roots.
 """
 
 from __future__ import annotations
 
-import contextlib
-import math
 import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -33,8 +27,8 @@ from typing import NamedTuple
 from . import linalg
 from .linalg import PrimeContext, RowReducer
 from .mpoly import PolyMap
-from .variety import (ConeSection, Hypersurface, NotParametric, PointFrame, ProjectFrom,
-                      RestrictedChart, SampleExhausted, VarietySpec, span_dim)
+from .variety import (NotParametric, PointFrame, ProjectFrom, SampleExhausted, VarietySpec,
+                      _Product, per_modulus, span_dim)
 
 DEFAULT_TRIALS = 5
 MAX_TRIALS = 100  # the CLI's cap: a scan holds every trial's samples and pivot rows
@@ -115,17 +109,6 @@ class ContactShape:
     gamma_lower: int
 
 
-class _Product(NamedTuple):
-    """The modulus p1*p2 of a trial run for both primes; samplers read only `p`."""
-    p: int
-
-
-def _solves_roots(spec: VarietySpec) -> bool:
-    """True when some node of the tree samples by solving for a root."""
-    return isinstance(spec, (Hypersurface, RestrictedChart, ConeSection)) or any(
-        _solves_roots(c) for c in vars(spec).values() if isinstance(c, VarietySpec))
-
-
 def _chain_once(spec: VarietySpec, k: int, ctx: PrimeContext | _Product,
                 rng: random.Random) -> Trial:
     """One trial: ranks of stacked frames of 1..k+1 samples, minus 1."""
@@ -145,24 +128,20 @@ def secant_dim(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
     Each s^(h) is the maximum over `trials` independent trials and all
     primes of rank(stacked frames of h+1 samples) - 1.  A measurement runs the
     trials, then the span r + 1, which reads their points first and draws more
-    only while short of full rank.  With two or more primes and no root-solving
-    node it runs once modulo their product, filed under each prime, and reruns
-    per prime if that pass fails (module docstring).  Draws are shared across
+    only while short of full rank.  It runs under `variety.per_modulus`: with two
+    or more primes and no root-solving node, once modulo their product, filed
+    under each prime, and per prime if that pass fails.  Draws are shared across
     measurements, never within one, so the trials stay independent; a reused
     point lies on X and can only lower the span's rank, the one-sided error the
     maxima absorb.
     """
     if k < 0 or trials < 1:
         raise ValueError("need k >= 0 and trials >= 1")
-    def run(ctx: PrimeContext | _Product) -> tuple[list[Trial], int]:  # one measurement
+    def run(ctx: PrimeContext | _Product, _given) -> tuple[list[Trial], int]:  # one measurement
         ts = [_chain_once(spec, k, ctx, rng) for _ in range(trials)]
         return ts, span_dim(spec, ctx, rng, samples=[pf for t in ts for pf in t.samples])
 
-    runs = {}
-    if len(ctxs) > 1 and not _solves_roots(spec):
-        with contextlib.suppress(ValueError, SampleExhausted):  # e.g. a non-unit pivot
-            runs = dict.fromkeys((c.p for c in ctxs), run(_Product(math.prod(c.p for c in ctxs))))
-    runs = runs or {ctx.p: run(ctx) for ctx in ctxs}
+    runs = per_modulus(spec, ctxs, run)
     draws = {p: ts for p, (ts, _) in runs.items()}  # as on SecantReport
     r = max(span for _, span in runs.values()) - 1
     chains = [t.chain for ts in draws.values() for t in ts]

@@ -45,13 +45,14 @@ projection's kernel map (residues mod p) cannot give.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
 import math
 import random
-from collections.abc import Sequence
-from typing import NamedTuple
+from collections.abc import Callable, Sequence
+from typing import NamedTuple, TypeVar
 
 from . import linalg, uniroots
 from .linalg import PrimeContext, SAMPLE_RETRIES
@@ -774,6 +775,45 @@ def span_dim(spec: VarietySpec, ctx: PrimeContext, rng: random.Random,
     return linalg.fold(points, ctx.p, spec.ambient + 1).rank
 
 
+class _Product(NamedTuple):
+    """The modulus p1*p2 of a pass for both primes; samplers read only `p`."""
+    p: int
+
+
+def _solves_roots(spec: VarietySpec) -> bool:
+    """True when some node of the tree samples by solving for a root."""
+    return isinstance(spec, (Hypersurface, RestrictedChart, ConeSection)) or any(
+        _solves_roots(c) for c in vars(spec).values() if isinstance(c, VarietySpec))
+
+
+T = TypeVar("T")
+
+
+def per_modulus(spec: VarietySpec, ctxs: list[PrimeContext],
+                run: Callable[[PrimeContext | _Product, Sequence[PointFrame] | None], T],
+                samples: dict[int, Sequence[PointFrame]] | None = None) -> dict[int, T]:
+    """One measurement under every prime of `ctxs`: `run(ctx, samples[ctx.p])`, by prime.
+
+    With two or more primes, no root-solving node and one list shared by every
+    prime (or no samples), `run` is called once modulo N = p1*p2 on that list and
+    its one result is filed under each prime.  By the Chinese remainder theorem a
+    uniform draw mod N is an independent uniform draw under each prime.  While
+    every pivot is a unit mod N, a residual 0 mod N is 0 under both primes and any
+    other leads with a unit, raising both ranks: every rank, and every stop that
+    reads ranks, is each prime's on the same draws reduced mod p.  A ValueError (a
+    non-unit pivot, from `linalg`) or SampleExhausted discards that pass, and `run`
+    is called under each prime in turn, as it always is otherwise: a root-solving
+    draw would need a root under both primes, and unshared samples were drawn
+    under one prime each.
+    """
+    given = [(samples or {}).get(c.p) for c in ctxs]
+    if len(ctxs) > 1 and all(g is given[0] for g in given) and not _solves_roots(spec):
+        with contextlib.suppress(ValueError, SampleExhausted):
+            product = _Product(math.prod(c.p for c in ctxs))
+            return dict.fromkeys((c.p for c in ctxs), run(product, given[0]))
+    return {c.p: run(c, g) for c, g in zip(ctxs, given)}
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -789,6 +829,9 @@ class SpecParseError(ValueError):
 # `analyze --k 1` on v4(P^5), R = 125, took 273-395 s before hilbert2 read
 # tangent rows (catalog nodes have R <= 48).
 MAX_AMBIENT = 126
+# Fixed primes of two sizes that a loaded centre is ranked modulo before over
+# Q: rows dependent modulo one, such as multiples of it, are seldom so modulo both.
+_CENTER_PRIMES = ((1 << 61) - 1, (1 << 127) - 1)
 
 
 def _ambient(r: int) -> int:
@@ -859,10 +902,12 @@ def _node_from_obj(obj: dict) -> VarietySpec:
                                dim=_json_int(obj.get("dim"), 0, optional=True),
                                degree=_json_int(obj.get("degree"), 1, optional=True))
             # Rows independent modulo a prime are independent over Q.  Rows
-            # dependent modulo 2^61 - 1 may not be, so their rank is read over Q,
-            # exactly but at a cost that grows with the entries' size.
+            # dependent modulo both 2^61 - 1 and 2^127 - 1 may not be, so their
+            # rank is read over Q, exactly but at a cost that grows with the
+            # entries' size.
             n = len(proj.center)
-            if linalg.rank(proj.center, (1 << 61) - 1) != n and linalg.rank_over_q(proj.center) != n:
+            if all(linalg.rank(proj.center, q) != n for q in _CENTER_PRIMES) \
+                    and linalg.rank_over_q(proj.center) != n:
                 raise ValueError("center rows are linearly dependent")
             return proj
         if op == "hypersurface":

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -207,6 +208,24 @@ class TestAnalyze:
         assert run(["analyze", str(spec), "--k", "1"]) == code
         err = capsys.readouterr().err
         assert err.endswith("node: center rows are linearly dependent\n") if code else err == ""
+
+    # Rows that are all multiples of 2^61 - 1 are dependent modulo it.  Their
+    # rank modulo 2^127 - 1 is read next; over Q, these 20 x 22 rows of 4000
+    # digits took about 50 s by Bareiss elimination.  The load runs in a
+    # subprocess that the timeout stops.
+    def test_center_of_multiples_of_the_first_prime_loads_at_once(self, tmp_path):
+        rng = random.Random(0)
+        center = [[rng.randrange(10 ** 3999, 10 ** 4000) * (2**61 - 1) for _ in range(22)]
+                  for _ in range(20)]
+        spec = tmp_path / "center.variety.json"
+        spec.write_text(json.dumps({"op": "project", "center": center,
+                                    "child": {"op": "scroll", "degrees": [21]}}))
+        script = ("import sys\nfrom secantry.variety import loads_spec\n"
+                  "print(loads_spec(open(sys.argv[1]).read()).ambient)\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", script, str(spec)], env=env,
+                              capture_output=True, text=True, timeout=10)
+        assert (proc.returncode, proc.stdout) == (0, "1\n"), proc.stderr
 
     # Each `^` is capped at mpoly.MAX_EXPONENT, but products of capped
     # powers could still expand for minutes, so these run in a subprocess

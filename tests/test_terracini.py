@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from secantry import linalg, terracini, uniroots
+from secantry import linalg, terracini, uniroots, variety
 from secantry.catalog import build_family, verify_family
 from secantry.linalg import RowReducer, derive_rng, make_contexts
 from secantry.terracini import (contact_shape, expected_secant_dim,
@@ -21,7 +21,7 @@ from secantry.variety import (NotParametric, ProjectFrom, SampleExhausted, Varie
                               random_cone_section, rational_normal_curve,
                               scroll, segre_pair, span_dim, veronese)
 
-from seeds import SEED
+from seeds import SEED, Recording, Replaying
 
 ROOT = Path(__file__).resolve().parents[1]
 LINE = ("t0", "t1")
@@ -484,27 +484,6 @@ class TestCrossPrime:
             assert per_prime[0] == per_prime[1]
 
 
-class _Recording:
-    """An RNG that records every `randrange` it serves."""
-
-    def __init__(self, rng):
-        self.rng, self.drawn = rng, []
-
-    def randrange(self, *args):
-        self.drawn.append(self.rng.randrange(*args))
-        return self.drawn[-1]
-
-
-class _Replaying:
-    """Serves recorded draws reduced mod p: the same points under one prime."""
-
-    def __init__(self, drawn, p):
-        self.drawn, self.p = iter(drawn), p
-
-    def randrange(self, *args):
-        return next(self.drawn) % self.p
-
-
 def _monic(row, p):
     """`row` mod p divided by its first entry nonzero mod p."""
     lead = next(a for a in row if a % p)
@@ -543,12 +522,12 @@ class TestProductTrials:
     ], ids=["join-linear", "veronese", "segre", "cone", "projection"])
     def test_product_trial_is_each_primes_trial(self, make, k):
         spec = make()
-        both = terracini._Product(23 * 29)
-        rec = _Recording(derive_rng(1, "product"))
+        both = variety._Product(23 * 29)
+        rec = Recording(derive_rng(1, "product"))
         t = terracini._chain_once(spec, k, both, rec)
         for ctx in self.FIVE_BIT:
             p = ctx.p
-            per = terracini._chain_once(spec, k, ctx, _Replaying(rec.drawn, p))
+            per = terracini._chain_once(spec, k, ctx, Replaying(rec.drawn, p))
             assert per.chain == t.chain
             assert per.basis == [(c, [a % p for a in row]) for c, row in t.basis]
             # Frames agree up to a unit per row: where a pivot coefficient is a
