@@ -45,7 +45,6 @@ class Expected:
     delta_k: int
     n_k: int
     s_k_plus_1: int | None = None
-    minimal: bool = True
 
 
 @dataclass
@@ -323,7 +322,7 @@ def verify_family(entry: CatalogEntry, ctxs, rng: random.Random,
         mism.append(f"delta_k: expected {exp.delta_k}, measured {delta_k}")
     if tan.n_k != exp.n_k:
         mism.append(f"n_k: expected {exp.n_k}, measured {tan.n_k}")
-    if exp.minimal and scan.first_defective != k:
+    if scan.first_defective != k:
         mism.append(f"minimal: expected first defective k={k}, "
                     f"measured {scan.first_defective}")
     if exp.s_k_plus_1 is not None:

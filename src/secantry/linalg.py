@@ -10,12 +10,18 @@ the maximum observed value across primes and trials is the accepted one.
 Field elements are plain ints in [0, p); a matrix is a list of rows.
 
 Two routines eliminate.  RowReducer normalizes each pivot row with one
-inverse, which pays where a row meets many pivots: in chain trials, spans,
-`hilbert2` and kernels a row meets about ten before it is added.  A sampled
-frame's rows meet about 1.6, where that inverse costs more than the
-elimination it saves, so `row_basis` uses none: it scales instead, as
-fraction-free elimination does (Bareiss, Math. Comp. 22 (1968)), and returns
-echelon rows that are not normalized.
+inverse, which pays where a row meets many pivots: in chain trials, spans and
+`hilbert2` a row meets about ten before it is added.  A sampled frame's rows
+meet about 1.6, where that inverse costs more than the elimination it saves,
+so `row_basis` uses none: it scales instead, as fraction-free elimination does
+(Bareiss, Math. Comp. 22 (1968)), and returns echelon rows that are not
+normalized.
+
+RowReducer also projects.  The residual of y against a span, read at the free
+columns, is the one vector of y + span that is zero at every pivot column, so
+it is y's image under the projection from that span whatever echelon form the
+pivot rows take: `variety.ProjectFrom` samples through it, and `kernel_basis`
+reads the same map off the unit vectors' residuals as a matrix.
 
 RowReducer reduces lazily: a pivot step reads one coefficient c mod p and adds
 `(p - c) * pivot` unreduced from the pivot column on, as a pivot row is zero
@@ -262,38 +268,16 @@ def kernel_basis(mat: list[list[int]], p: int) -> list[list[int]]:
     """Rows spanning the right kernel {v : mat . v = 0 mod p}.
 
     Returns a (cols - rank) x cols matrix; empty list for full column rank.
+    Row f, for each free column f, holds coordinate f of each unit vector's
+    residual against the row space, so K . y is y's residual read at the
+    free columns (module docstring).
     """
     if not mat:
         raise ValueError("kernel of an empty matrix is ambiguous")
     ncols = len(mat[0])
     red = fold(mat, p)
-    # The echelon rows are zero left of their pivots; folding them back in,
-    # last pivot first, clears each pivot column above its pivot: the RREF.
-    rref = fold([red.pivots[c] for c in sorted(red.pivots, reverse=True)], p).pivots
-    # Each free column f gives e_f minus column f of the pivot rows.
-    return [[(-rref[c][f]) % p if c in rref else int(c == f) for c in range(ncols)]
-            for f in range(ncols) if f not in rref]
-
-
-def kernel_columns(kmap: list[list[int]]) -> tuple[list[int], list[tuple[int, list[int]]]]:
-    """A `kernel_basis` matrix K as (free columns, [(pivot column c, column c of K)]).
-
-    Row i of K is 1 at its free column f_i, 0 at every other free column and
-    nonzero only at pivot columns left of f_i, so f_i is its last nonzero and
-    (K . y)_i = y[f_i] + sum of K[i][c] * y[c] over the nonzero pivot columns.
-    """
-    free = [max(j for j, a in enumerate(row) if a) for row in kmap]
-    return free, [(c, list(col)) for c, col in enumerate(zip(*kmap)) if c not in free and any(col)]
-
-
-def kernel_apply(form: tuple, ys: list[int], p: int) -> list[int]:
-    """K . ys mod p for K in `kernel_columns` form."""
-    free, cols = form
-    out = [ys[f] for f in free]
-    for c, col in cols:
-        if y := ys[c]:
-            out = [a + k * y for a, k in zip(out, col)]
-    return [a % p for a in out]
+    res = [red.residual([int(c == j) for c in range(ncols)]) for j in range(ncols)]
+    return [[r[f] for r in res] for f in range(ncols) if f not in red.pivots]
 
 
 def mat_vec(mat: list[list[int]], vec: list[int], p: int) -> list[int]:

@@ -333,7 +333,10 @@ class ConeOver(VarietySpec):
 class ProjectFrom(VarietySpec):
     """Linear projection of the child away from the span of `center` rows.
 
-    The projection map is a kernel basis of the center, so coordinates of
+    A point projects by reduction modulo the center: its residual against
+    the center's RowReducer (the vector of y + span(center) that is zero at
+    the center's pivot columns), read at the free columns.  `kernel_map` is
+    the same map as a matrix, a kernel basis of the center, so coordinates of
     the image are linear forms vanishing on the center.  `dim` may be
     overridden for non-generic (e.g. tangential) centers, where the image
     dimension genuinely drops.
@@ -356,32 +359,32 @@ class ProjectFrom(VarietySpec):
         self.ambient = child.ambient - len(center)
         self.degree = degree
         self.bound_p = bound_p
-        self._kforms: dict[int, tuple] = {}
+        self._reducers: dict[int, tuple[linalg.RowReducer, list[int]]] = {}
+
+    def _reducer(self, ctx: PrimeContext) -> tuple[linalg.RowReducer, list[int]]:
+        """The center folded mod ctx's modulus and its free columns, cached per modulus."""
+        if ctx.p not in self._reducers:
+            if self.bound_p is not None and ctx.p != self.bound_p:
+                raise ValueError("this projection is bound to a different prime")
+            red = linalg.fold(self.center, ctx.p)
+            if red.rank < len(self.center):
+                raise CenterDependent("projection center rows are dependent mod p")
+            self._reducers[ctx.p] = red, [c for c in range(self.child.ambient + 1)
+                                          if c not in red.pivots]
+        return self._reducers[ctx.p]
 
     def kernel_map(self, ctx: PrimeContext) -> list[list[int]]:
-        """The projection matrix mod ctx's prime: a kernel basis of the center, uncached."""
-        if self.bound_p is not None and ctx.p != self.bound_p:
-            raise ValueError("this projection is bound to a different prime")
-        kmap = linalg.kernel_basis(self.center, ctx.p)
-        if len(kmap) != self.ambient + 1:
-            raise CenterDependent("projection center rows are dependent mod p")
-        return kmap
-
-    def kernel_form(self, ctx: PrimeContext) -> tuple:
-        """`kernel_map(ctx)` in `linalg.kernel_columns` form, cached per prime."""
-        if ctx.p not in self._kforms:
-            self._kforms[ctx.p] = linalg.kernel_columns(self.kernel_map(ctx))
-        return self._kforms[ctx.p]
+        """The projection as a matrix mod ctx's prime: a kernel basis of the center."""
+        self._reducer(ctx)  # the prime and rank checks
+        return linalg.kernel_basis(self.center, ctx.p)
 
     def _sample_once(self, ctx, rng):
-        p = ctx.p
-        form = self.kernel_form(ctx)
+        red, free = self._reducer(ctx)
         pf = self.child.sample(ctx, rng)
-        point = linalg.kernel_apply(form, pf.point, p)
+        point, *rows = [[r[c] for c in free] for r in map(red.residual, [pf.point, *pf.frame])]
         if not any(point):
             raise _Resample("center")
-        rows = [linalg.kernel_apply(form, row, p) for row in pf.frame]
-        return _framed(self, point, rows, p)
+        return _framed(self, point, rows, ctx.p)
 
     def chart(self, ctx):
         if ctx is None:

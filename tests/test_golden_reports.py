@@ -96,6 +96,10 @@ COMMANDS = {
     # pivot columns (the entries above sample projections from a point).
     "verify-F13-k3-line": ["catalog", "verify", "--family", "F13", "--k", "3",
                            "--variant", "line"],
+    # A projection wider than PACK_MIN_WIDTH: the rational normal curve of
+    # degree 45 from one random point, so its samples and its chart reduce
+    # 46-column rows packed.
+    "analyze-rnc45-point": ["analyze", "tests/specs/rnc45-point.variety.json", "--k", "2"],
 }
 
 

@@ -8,9 +8,8 @@ import pytest
 import sympy
 
 from secantry.linalg import (PACK_MIN_WIDTH, PrimeContext, RowReducer,
-                             derive_rng, fold, is_prime_u64, kernel_apply, kernel_basis,
-                             kernel_columns, make_contexts, mat_vec, random_prime,
-                             rank, rank_over_q, row_basis)
+                             derive_rng, fold, is_prime_u64, kernel_basis, make_contexts,
+                             mat_vec, random_prime, rank, rank_over_q, row_basis)
 from secantry.variety import _section
 
 from seeds import SEED
@@ -573,22 +572,25 @@ def random_center_matrix(rng, p, width):
 
 
 class TestKernelColumns:
-    """A kernel map applied through its columns equals the dense product."""
+    """A projection read as residuals against its center equals the dense
+    product with the center's kernel map."""
 
     @pytest.mark.parametrize("p", [2, 3, 101, 3612720013493706217])
     def test_matches_dense_products(self, p):
         rng = derive_rng(SEED, "kernel-columns", p)
-        for width in range(2, 41):
+        # Widths on both sides of PACK_MIN_WIDTH: list and packed reducers.
+        for width in [*range(2, 41), 41, 46, 55, 90]:
             for _ in range(3):
-                kmap = kernel_basis(random_center_matrix(rng, p, width), p)
-                form = kernel_columns(kmap)
-                assert [row[f] for row, f in zip(kmap, form[0])] == [1] * len(kmap)
+                center = random_center_matrix(rng, p, width)
+                kmap, red = kernel_basis(center, p), fold(center, p)
+                free = [c for c in range(width) if c not in red.pivots]
+                assert [row[f] for row, f in zip(kmap, free, strict=True)] == [1] * len(kmap)
                 vec = [rng.randrange(p) for _ in range(width)]
                 frame = [[rng.randrange(-p, 2 * p) for _ in range(width)]
                          for _ in range(rng.randrange(1, 5))]
-                assert kernel_apply(form, vec, p) == dense_mat_vec(kmap, vec, p)
+                assert [red.residual(vec)[f] for f in free] == dense_mat_vec(kmap, vec, p)
                 assert mat_vec(kmap, vec, p) == dense_mat_vec(kmap, vec, p)
-                assert [kernel_apply(form, row, p) for row in frame] == \
+                assert [[r[f] for f in free] for r in map(red.residual, frame)] == \
                     dense_apply_map(frame, kmap, p)
 
     @pytest.mark.parametrize("p", [2, 101, 3612720013493706217])

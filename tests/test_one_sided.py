@@ -40,8 +40,11 @@ def _measure(entry, ctxs, rng, trials):
     samples = {}
 
     def projection(spec, k, ctxs, rng, report):
-        # verify_family drops the trials after their projection: keep their samples.
-        samples.update((p, [pf for t in ts for pf in t.samples]) for p, ts in report.draws.items())
+        # verify_family drops the trials after their projection: keep their samples,
+        # one list per distinct trial list as `cli._measure` builds them, so a chain
+        # measured modulo p1*p2 hands hilbert2 one shared list and its pass modulo p1*p2.
+        lists = {id(ts): [pf for t in ts for pf in t.samples] for ts in report.draws.values()}
+        samples.update((p, lists[id(ts)]) for p, ts in report.draws.items())
         return terracini.tangential_projection(spec, k, ctxs, rng, report=report)
 
     with mock.patch.object(catalog, "tangential_projection", projection):

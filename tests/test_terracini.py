@@ -285,8 +285,8 @@ class TestChainLaw:
         for ctx in ctxs:
             rows = [row for _ in range(h) for row in spec.sample(ctx, rng).frame]
             proj = ProjectFrom(spec, linalg.row_basis(rows, ctx.p), bound_p=ctx.p)
-            form = proj.kernel_form(ctx)
-            image = [linalg.kernel_apply(form, row, ctx.p) for row in spec.sample(ctx, rng).frame]
+            kmap = proj.kernel_map(ctx)
+            image = [linalg.mat_vec(kmap, row, ctx.p) for row in spec.sample(ctx, rng).frame]
             dims.append(linalg.rank(image, ctx.p) - 1)
         return max(dims)
 

@@ -14,7 +14,7 @@ import secantry
 
 from secantry.linalg import PrimeContext, RowReducer, derive_rng, rank, row_basis
 from secantry.mpoly import MPoly, PolyMap, monomial_exponents, parse_poly, random_poly
-from secantry.variety import (MAX_AMBIENT, CenterContainsVariety, NoRootFound,
+from secantry.variety import (MAX_AMBIENT, CenterContainsVariety, CenterDependent, NoRootFound,
                               NotParametric, ProjectFrom, SampleExhausted,
                               SpecParseError, center_in_span, center_on_points,
                               cone_over, cone_section, dumps_spec,
@@ -420,6 +420,25 @@ class TestProjectFrom:
         with pytest.raises(ValueError, match="dependent mod p"):
             spec.kernel_map(PrimeContext(p=101))
         assert len(spec.kernel_map(ctxs[0])) == spec.ambient + 1 == 2
+
+    @pytest.mark.parametrize("degree", [3, 45])  # list and packed reducers
+    def test_center_dependent_mod_p_stops_sampling(self, ctxs, rng, degree):
+        # The rows of the test above, padded: sampling under 101 raises
+        # CenterDependent itself, and the other prime samples.
+        pad = [0] * (degree - 3)
+        spec = ProjectFrom(scroll([degree]), [[1, 0, 0, 0, *pad], [0, 101, 0, 0, *pad]])
+        with pytest.raises(CenterDependent, match="dependent mod p"):
+            spec.sample(PrimeContext(p=101), rng)
+        pf = spec.sample(ctxs[0], rng)
+        assert len(pf.point) == spec.ambient + 1 and len(pf.frame) == 2
+
+    def test_bound_projection_refuses_other_primes(self, ctxs, rng):
+        spec = ProjectFrom(rational_normal_curve(3), [[1, 2, 3, 4]], bound_p=ctxs[0].p)
+        assert len(spec.sample(ctxs[0], rng).frame) == 2
+        assert len(spec.chart(ctxs[0]).coords) == spec.ambient + 1
+        for call in (lambda: spec.sample(ctxs[1], rng), lambda: spec.chart(ctxs[1])):
+            with pytest.raises(ValueError, match="bound to a different prime"):
+                call()
 
     def test_secant_center_lowers_span(self, ctxs, rng):
         child = veronese(scroll([1, 1, 0]), 2)
