@@ -100,6 +100,10 @@ COMMANDS = {
     # degree 45 from one random point, so its samples and its chart reduce
     # 46-column rows packed.
     "analyze-rnc45-point": ["analyze", "tests/specs/rnc45-point.variety.json", "--k", "2"],
+    # hilbert2 wider than any benchmark spec: v2(P^5) reduces rows of 231
+    # quadric columns, v2(P^6) rows of 406.
+    "analyze-veronese-p5": ["analyze", "tests/specs/veronese-p5.variety.json", "--k", "1"],
+    "analyze-veronese-p6": ["analyze", "tests/specs/veronese-p6.variety.json", "--k", "1"],
 }
 
 
