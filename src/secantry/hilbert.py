@@ -7,9 +7,7 @@ Evaluation works uniformly for implicit-backed varieties and avoids the
 term blowup of composing coordinate polynomials symbolically.
 
 Both measurements here, h1 and h2, run under `variety.per_modulus`, as the
-chain trials do: once modulo p1*p2 on a tree that solves for no roots (for
-h2, when every prime's samples are one shared list), and per prime when that
-pass fails or does not apply.
+chain trials do.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .linalg import PrimeContext, fold
+from .linalg import PrimeContext, RowReducer, fold
 from .variety import PointFrame, VarietySpec, Veronese, per_modulus, span_dim
 
 STALL = 8  # hilbert2 stops once this many points in a row add no rank
@@ -54,15 +52,10 @@ def hilbert2(spec: VarietySpec, ctxs: list[PrimeContext], rng: random.Random,
     STALL points in a row add no rank, or C(R+2, 2) + STALL points (R+1
     coordinates) were read.  The maximum over passes is reported.
 
-    Passes run under `variety.per_modulus`.  On a tree that solves for no roots,
-    given no samples or one list shared by every prime (`samples[p1] is
-    samples[p2]`, as a chain measured modulo p1*p2 files them), one pass runs
-    modulo p1*p2.  Each stop reads only ranks and idle counts, and while every
-    pivot is a unit each row raises the rank mod p1*p2 exactly when it raises
-    both primes' ranks, so the pass stops where each prime's would on the same
-    draws.  A non-unit pivot or an exhausted sampler discards it, and one pass
-    runs per prime on `samples[p]`, as for root-solving trees, unshared samples
-    and one prime.
+    Passes run under `variety.per_modulus`: once modulo p1*p2, when given samples
+    are one list shared by every prime (as a chain measured modulo p1*p2 files
+    them) and C(R+2, 2) <= `linalg.PRODUCT_MAX_WIDTH`, or one per prime on
+    `samples[p]`.  Rows come packed at the reducer's slot width (`Veronese.push`).
 
     No row x.v lifts the rank past h2: B_Q(x, v) = 0 for every quadric Q on
     X and v tangent to the cone at x, so x.v lies in span v2(X).  The
@@ -82,17 +75,17 @@ def hilbert2(spec: VarietySpec, ctxs: list[PrimeContext], rng: random.Random,
     ncols = v2.ambient + 1
 
     def run(ctx, given) -> int:  # one pass
-        p = ctx.p
+        p, red = ctx.p, RowReducer(ctx.p, ncols)
         fresh = (spec.sample(ctx, rng) for _ in itertools.count())
         stream = itertools.chain(given or (), fresh)
-        tangent = (row for pf in stream for row in v2.push(pf.point, pf.frame, p).frame)
-        red = fold(tangent, p, ncols, 1)
+        tangent = (row for pf in stream for row in v2.push(pf.point, pf.frame, p, red.nbytes).frame)
+        fold(tangent, p, ncols, 1, red)
         if red.rank < ncols:
             points = itertools.islice(stream, ncols + STALL)  # the samples not yet read
-            fold((v2.push(pf.point, (), p).point for pf in points), p, ncols, STALL, red)
+            fold((v2.push(pf.point, (), p, red.nbytes).point for pf in points), p, ncols, STALL, red)
         return red.rank
 
-    return max(per_modulus(spec, ctxs, run, samples).values())
+    return max(per_modulus(spec, ctxs, run, samples, ncols).values())
 
 
 @dataclass

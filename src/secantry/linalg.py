@@ -27,19 +27,17 @@ RowReducer reduces lazily: a pivot step reads one coefficient c mod p and adds
 `(p - c) * pivot` unreduced from the pivot column on, as a pivot row is zero
 left of it; `_reduce` leaves entries unreduced, and `residual` and `add`
 reduce each entry once.  A step adds under p**2 to an entry, in at most
-`width` steps.  A row wider than PACK_MIN_WIDTH is one packed int, column i in
-bits [i*s, (i+1)*s) and slots from [0, p), so slots stay below width*p**2 + p
-< 2**s and never carry for s >= 2*p.bit_length() + width.bit_length() + 1.
-Reduced, it is 0 mod p at each pivot column: only its free columns are
-unpacked, and a pivot row is packed from its pivot column on.  Narrower
-rows stay lists.
+`width` steps.  A row wider than PACK_MIN_WIDTH is one packed int (`pack`),
+column i in bits [i*s, (i+1)*s); narrower rows stay lists.  Slots start in
+[0, p), or below 2*p**2 in a row its caller packed, so they stay below
+(width + 2)*p**2 < 2**s and never carry for s >= 2*p.bit_length() +
+width.bit_length() + 1.  Reduced, a row is 0 mod p at each pivot column: only
+its free columns are unpacked, and a pivot row is packed from its pivot column on.
 
-A RowReducer or `row_basis` may run modulo a product N of distinct primes.  Its
-rank is each prime's while every pivot is a unit mod N; a non-unit pivot raises
-ValueError.  The two keep unit multiples of the same rows, so both raise at the
-same row.  The packed-slot bound holds for N as written, its slot bits coming
-from N.bit_length(): modulo two 62-bit primes a slot of `hilbert2`'s widest
-rows (2**13 columns) takes 33 bytes, against 18 modulo one.
+A RowReducer or `row_basis` may run modulo a product N of distinct primes (p
+above being N); a non-unit pivot raises ValueError, and `variety.per_modulus`
+says why the ranks are each prime's.  Modulo two 62-bit primes a slot of
+`hilbert2`'s widest rows (2**13 columns) takes 33 bytes, against 18 modulo one.
 """
 
 from __future__ import annotations
@@ -57,6 +55,14 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 SAMPLE_RETRIES = 32
 # Rows wider than this are eliminated as packed ints (see the module docstring).
 PACK_MIN_WIDTH = 40
+# Wider rows run per prime (`variety.per_modulus`): a `hilbert2` pass modulo p1*p2
+# took 0.96-1.04x two per-prime passes' time at 136-171 columns, 1.08-1.23x at 231-406.
+PRODUCT_MAX_WIDTH = 200
+
+
+def pack(row: list[int], nbytes: int) -> int:
+    """`row` as one int, entry i in bytes [i*nbytes, (i+1)*nbytes): each must fit."""
+    return int.from_bytes(b"".join(a.to_bytes(nbytes, "little") for a in row), "little")
 
 
 def is_prime_u64(n: int) -> bool:
@@ -132,37 +138,36 @@ class RowReducer:
     """Incremental Gaussian elimination over F_p.
 
     Rows are fed one at a time; each independent row is normalized (pivot 1),
-    unlike a `row_basis` row, and stored keyed by its pivot column.  Supports
-    rank queries and membership tests against the accumulated row space.  The
-    first row fixes the width: a row of any other width raises ValueError.
-    `pivots` holds lists even when rows are eliminated packed.
+    unlike a `row_basis` row, and stored keyed by its pivot column.  The width,
+    declared or the first row's, is kept: any other raises ValueError, as does a
+    packed row unless it fits a width above PACK_MIN_WIDTH at `nbytes` bytes a
+    slot (`pack`).  `pivots` holds lists even when rows are eliminated packed.
     """
 
-    def __init__(self, p: int):
-        self.p = p
-        self.pivots: dict[int, list[int]] = {}
-        self._width: int | None = None
-        self._nbytes = 0  # bytes per packed slot; 0 when rows are reduced as lists
+    def __init__(self, p: int, width: int | None = None):
+        self.p, self.pivots = p, {}
         self._packed: list[tuple[int, int]] = []  # (slot shift, packed pivot row)
-        self._free: list[int] = []  # packed path: the non-pivot columns, sorted
+        self._set_width(width)
+
+    def _set_width(self, n: int | None) -> None:  # nbytes: slot bits in bytes, or 0 for lists
+        self._width, wide = n, (n or 0) > PACK_MIN_WIDTH
+        self.nbytes = -(-(2 * self.p.bit_length() + n.bit_length() + 1) // 8) if wide else 0
+        self._free = list(range(n)) if wide else []  # packed path: the non-pivot columns
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _pack(self, r: list[int]) -> int:
-        return int.from_bytes(b"".join(a.to_bytes(self._nbytes, "little") for a in r), "little")
-
-    def _reduce(self, row: list[int]) -> list[int]:
+    def _reduce(self, row: list[int] | int) -> list[int]:
         """`row` less its combination of the stored pivot rows, entries unreduced."""
-        if len(row) != self._width:
+        if isinstance(row, int):
+            if not self.nbytes or row < 0 or row.bit_length() > 8 * self.nbytes * self._width:
+                raise ValueError(f"not a row packed at this reducer's {self.nbytes}-byte slots")
+        elif len(row) != self._width:
             if self._width is not None:
                 raise ValueError(f"row of width {len(row)} in a span of width {self._width}")
-            self._width = n = len(row)
-            if n > PACK_MIN_WIDTH:  # slot bits, rounded up to bytes (module docstring)
-                self._nbytes = -(-(2 * self.p.bit_length() + n.bit_length() + 1) // 8)
-                self._free = list(range(n))
-        p, nbytes = self.p, self._nbytes
+            self._set_width(len(row))
+        p, nbytes, n = self.p, self.nbytes, self._width
         if not nbytes:
             r = list(row)
             for col, prow in self.pivots.items():
@@ -170,36 +175,34 @@ class RowReducer:
                 if c:
                     r[col:] = [a + c * b for a, b in zip(r[col:], prow[col:])]
             return r
-        packed, mask = self._pack([a % p for a in row]), (1 << 8 * nbytes) - 1
+        packed = row if isinstance(row, int) else pack([a % p for a in row], nbytes)
+        mask = (1 << 8 * nbytes) - 1
         for shift, prow in self._packed:
             c = (packed >> shift & mask) % p
             if c:
                 packed += (p - c) * prow
-        raw, r = packed.to_bytes(nbytes * len(row), "little"), [0] * len(row)
+        raw, r = packed.to_bytes(nbytes * n, "little"), [0] * n
         for c in self._free:  # a pivot column's slot is 0 mod p: it stays 0
             r[c] = int.from_bytes(raw[nbytes * c:nbytes * c + nbytes], "little")
         return r
 
-    def residual(self, row: list[int]) -> list[int]:
+    def residual(self, row: list[int] | int) -> list[int]:
         """Reduce `row` against the stored pivot rows; result has zeros in pivot columns."""
         return [a % self.p for a in self._reduce(row)]
 
-    def add(self, row: list[int]) -> bool:
+    def add(self, row: list[int] | int) -> bool:
         """Fold a row in; return True when it increased the rank."""
         r, p = self._reduce(row), self.p
         for col, val in enumerate(r):
             if val % p:
                 inv = pow(val, -1, p)
                 prow = self.pivots[col] = [0] * col + [a * inv % p for a in r[col:]]
-                if self._nbytes:  # pack the tail alone: prow is 0 left of col
+                if self.nbytes:  # pack the tail alone: prow is 0 left of col
                     self._free.remove(col)
-                    self._packed.append((8 * self._nbytes * col,
-                                         self._pack(prow[col:]) << 8 * self._nbytes * col))
+                    self._packed.append((8 * self.nbytes * col,
+                                         pack(prow[col:], self.nbytes) << 8 * self.nbytes * col))
                 return True
         return False
-
-    def contains(self, row: list[int]) -> bool:
-        return not any(self.residual(row))
 
 
 def fold(rows: Iterable[list[int]], p: int, full: int | None = None,

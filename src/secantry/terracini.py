@@ -13,9 +13,8 @@ point or prime can only lower a rank.  Every dimension is therefore the
 maximum over independent trials, repeated under two independently drawn
 primes, with an `agreement` flag recording whether all runs concurred.
 
-A measurement (chain trials, then span) runs under `variety.per_modulus`: once
-modulo p1*p2 on a tree that solves for no roots, filed under each prime, and
-rerun whole per prime when that pass fails or the tree solves roots.
+A measurement (chain trials, then span) runs under `variety.per_modulus`:
+once modulo p1*p2, filed under each prime, or whole per prime.
 """
 
 from __future__ import annotations
@@ -128,12 +127,10 @@ def secant_dim(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
     Each s^(h) is the maximum over `trials` independent trials and all
     primes of rank(stacked frames of h+1 samples) - 1.  A measurement runs the
     trials, then the span r + 1, which reads their points first and draws more
-    only while short of full rank.  It runs under `variety.per_modulus`: with two
-    or more primes and no root-solving node, once modulo their product, filed
-    under each prime, and per prime if that pass fails.  Draws are shared across
-    measurements, never within one, so the trials stay independent; a reused
-    point lies on X and can only lower the span's rank, the one-sided error the
-    maxima absorb.
+    only while short of full rank.  It runs under `variety.per_modulus`, once
+    modulo p1*p2 or per prime.  Draws are shared across measurements, never
+    within one, so the trials stay independent; a reused point lies on X and can
+    only lower the span's rank, the one-sided error the maxima absorb.
     """
     if k < 0 or trials < 1:
         raise ValueError("need k >= 0 and trials >= 1")

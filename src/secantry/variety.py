@@ -227,19 +227,32 @@ class Veronese(VarietySpec):
         for _ in range(d):
             self.rungs.append([(j, i) for j, low in enumerate(lasts)
                                for i in range(low, child.ambient + 1)])
-            lasts = [i for _, i in self.rungs[-1]]
+            self.lows, lasts = lasts, [i for _, i in self.rungs[-1]]
         self.dim = child.dim
         self.ambient = len(lasts) - 1
         self.degree = (child.degree * d ** child.dim) if child.degree is not None else None
 
-    def push(self, q: list[int], dirs: Sequence[list[int]], p: int) -> PointFrame:
+    def push(self, q: list[int], dirs: Sequence[list[int]], p: int, nbytes: int = 0) -> PointFrame:
         """The monomials at q and their derivatives along each row v of `dirs`,
-        mod p, by the product rule d(m*q_i) = dm*q_i + m*v_i up the rungs."""
+        mod p, by the product rule d(m*q_i) = dm*q_i + m*v_i up the rungs.  Given
+        `nbytes`, the top rung comes packed at that slot width, unreduced: a prefix
+        m with last variable `low` heads the run m*q[low:] (dm*q[low:] + m*v[low:])."""
         vals, ders = [1], [[0] for _ in dirs]
-        for rung in self.rungs:
+        for rung in self.rungs[:-1] if nbytes else self.rungs:
             ders = [[(dm[j] * q[i] + vals[j] * v[i]) % p for j, i in rung]
                     for dm, v in zip(ders, dirs)]
             vals = [vals[j] * q[i] % p for j, i in rung]
+        if nbytes:
+            runs = [(8 * nbytes * low, nbytes * (len(q) - low)) for low in self.lows]
+            qs, *vs = [linalg.pack([a % p for a in v], nbytes) for v in (q, *dirs)]
+            qs = [qs >> shift for shift, _ in runs]  # q[low:] for each prefix
+
+            def top(terms):  # one run of slots per prefix, joined
+                return int.from_bytes(b"".join(
+                    t.to_bytes(size, "little") for t, (_, size) in zip(terms, runs)), "little")
+            ders = [top(a * x + m * (v >> shift) for a, x, m, (shift, _) in zip(dm, qs, vals, runs))
+                    for dm, v in zip(ders, vs)]
+            vals = top(m * x for m, x in zip(vals, qs))
         return PointFrame(vals, ders)
 
     def _sample_once(self, ctx, rng):
@@ -794,23 +807,27 @@ T = TypeVar("T")
 
 def per_modulus(spec: VarietySpec, ctxs: list[PrimeContext],
                 run: Callable[[PrimeContext | _Product, Sequence[PointFrame] | None], T],
-                samples: dict[int, Sequence[PointFrame]] | None = None) -> dict[int, T]:
+                samples: dict[int, Sequence[PointFrame]] | None = None,
+                width: int = 0) -> dict[int, T]:
     """One measurement under every prime of `ctxs`: `run(ctx, samples[ctx.p])`, by prime.
 
-    With two or more primes, no root-solving node and one list shared by every
-    prime (or no samples), `run` is called once modulo N = p1*p2 on that list and
-    its one result is filed under each prime.  By the Chinese remainder theorem a
+    With two or more primes, no root-solving node, one list shared by every prime
+    (or no samples) and rows of `width` <= `linalg.PRODUCT_MAX_WIDTH` columns,
+    `run` is called once modulo N = p1*p2 on that list and its one result is filed
+    under each prime.  That pass is exact: by the Chinese remainder theorem a
     uniform draw mod N is an independent uniform draw under each prime.  While
     every pivot is a unit mod N, a residual 0 mod N is 0 under both primes and any
     other leads with a unit, raising both ranks: every rank, and every stop that
-    reads ranks, is each prime's on the same draws reduced mod p.  A ValueError (a
-    non-unit pivot, from `linalg`) or SampleExhausted discards that pass, and `run`
-    is called under each prime in turn, as it always is otherwise: a root-solving
-    draw would need a root under both primes, and unshared samples were drawn
-    under one prime each.
+    reads only ranks and idle counts, is each prime's on the same draws reduced
+    mod p.  A RowReducer and `row_basis`, keeping unit multiples of the same rows,
+    raise ValueError at the same non-unit pivot.  That or SampleExhausted discards
+    the pass, and `run` is called under each prime in turn, as it always is
+    otherwise: a root-solving draw would need a root under both primes, unshared
+    samples were drawn under one prime each, and wider rows are cheaper per prime.
     """
     given = [(samples or {}).get(c.p) for c in ctxs]
-    if len(ctxs) > 1 and all(g is given[0] for g in given) and not _solves_roots(spec):
+    if len(ctxs) > 1 and width <= linalg.PRODUCT_MAX_WIDTH and all(
+            g is given[0] for g in given) and not _solves_roots(spec):
         with contextlib.suppress(ValueError, SampleExhausted):
             product = _Product(math.prod(c.p for c in ctxs))
             return dict.fromkeys((c.p for c in ctxs), run(product, given[0]))
@@ -828,9 +845,9 @@ class SpecParseError(ValueError):
 
 # The largest ambient dimension R a loaded node may have.  hilbert2 reduces
 # rows of C(R+2, 2) quadric columns, at most 2**13 for R <= 126, and so sets
-# the cost there: `analyze --k-max 6` on v2(P^9), R = 54, takes about 15 s, and
-# `analyze --k 1` on v4(P^5), R = 125, took 273-395 s before hilbert2 read
-# tangent rows (catalog nodes have R <= 48).
+# the cost there: `analyze --k-max 6` on v2(P^9), R = 54, took 16.9-17.7 s over
+# 3 runs on a 2-core host, and `analyze --k 1` on v4(P^5), R = 125, took
+# 273-395 s before hilbert2 read tangent rows (catalog nodes have R <= 48).
 MAX_AMBIENT = 126
 # Fixed primes of two sizes that a loaded centre is ranked modulo before over
 # Q: rows dependent modulo one, such as multiples of it, are seldom so modulo both.

@@ -135,10 +135,10 @@ class TestHilbert2Stops:
         pushed = {"frame": [], "point": []}
         push = Veronese.push
 
-        def recording(self, q, dirs, p):
+        def recording(self, q, dirs, p, *packing):
             if self.child is spec:
                 pushed["frame" if dirs else "point"].append((p, tuple(q)))
-            return push(self, q, dirs, p)
+            return push(self, q, dirs, p, *packing)
 
         monkeypatch.setattr(Veronese, "push", recording)
         return pushed

@@ -9,7 +9,7 @@ import sympy
 
 from secantry.linalg import (PACK_MIN_WIDTH, PrimeContext, RowReducer,
                              derive_rng, fold, is_prime_u64, kernel_basis, make_contexts,
-                             mat_vec, random_prime, rank, rank_over_q, row_basis)
+                             mat_vec, pack, random_prime, rank, rank_over_q, row_basis)
 from secantry.variety import _section
 
 from seeds import SEED
@@ -378,15 +378,15 @@ class TestRaggedRows:
             kernel_basis([[1, 2, 3], [4]], 101)
 
     @pytest.mark.parametrize("width", [3, PACK_MIN_WIDTH + 1])
-    def test_contains_and_add_reject_other_widths(self, width):
+    def test_residual_and_add_reject_other_widths(self, width):
         red = RowReducer(101)
         red.add([1] * width)
         for other in ([1] * (width - 1), [1] * (width + 1)):
             with pytest.raises(ValueError, match="width"):
-                red.contains(other)
+                red.residual(other)
             with pytest.raises(ValueError, match="width"):
                 red.add(other)
-        assert red.contains([2] * width)
+        assert not any(red.residual([2] * width))
 
 
 class ListReducer:
@@ -432,7 +432,7 @@ PRIMES = [2, 3, 101, 2**61 - 1, 3612720013493706217]
 
 
 def check_against_list_oracle(p, width, label):
-    """RowReducer and ListReducer agree on add, pivots, residual and contains."""
+    """RowReducer and ListReducer agree on add, pivots, residual and membership."""
     rng = derive_rng(SEED, label, p, width)
     red, oracle = RowReducer(p), ListReducer(p)
     for row in packed_path_rows(rng, p, width, nrows=8):
@@ -441,28 +441,30 @@ def check_against_list_oracle(p, width, label):
     assert bool(red._packed) == (width > PACK_MIN_WIDTH)
     for probe in packed_path_rows(rng, p, width, nrows=2):
         assert red.residual(probe) == oracle.residual(probe)
-        assert red.contains(probe) == (not any(oracle.residual(probe)))
+        assert any(red.residual(probe)) == any(oracle.residual(probe))
     coeffs = [rng.randrange(p) for _ in red.pivots]
     inside = [sum(c * a for c, a in zip(coeffs, col)) for col in zip(*red.pivots.values())]
-    assert red.contains(inside)
+    assert not any(red.residual(inside))
 
 
-def check_worst_case_growth(width, full_rank):
+def check_worst_case_growth(width, full_rank, lift=0):
     """Upper unitriangular pivots with p - 1 in every entry right of the
     pivot, and a probe whose coefficient is 1 at every pivot step: each step
     adds (p - 1) * (p - 1) to every later entry, the largest increment, and
-    the last entry takes width - 1 of them."""
+    the last entry takes width - 1 of them.  Given `lift`, the probe is
+    packed with `lift * p` added to every slot."""
     p = 3612720013493706217
     pivots = [[0] * i + [1] + [p - 1] * (width - i - 1) for i in range(width)]
     if not full_rank:
         pivots.pop()
-    red, oracle = RowReducer(p), ListReducer(p)
+    red, oracle = RowReducer(p, width if lift else None), ListReducer(p)
     for row in pivots:
         assert red.add(row) and oracle.add(row)
     probe = [(1 - j) % p for j in range(width)]
-    assert red.residual(probe) == oracle.residual(probe)
+    given = pack([a + lift * p for a in probe], red.nbytes) if lift else probe
+    assert red.residual(given) == oracle.residual(probe)
     assert any(oracle.residual(probe)) != full_rank
-    assert red.contains(probe) == full_rank
+    assert (not any(red.residual(given))) == full_rank
 
 
 class TestPackedElimination:
@@ -497,7 +499,7 @@ class TestPackedElimination:
         assert list(red.pivots.items()) == list(oracle.pivots.items())
         for probe in packed_path_rows(rng, p, width, nrows=2) + [idle]:
             assert red.residual(probe) == oracle.residual(probe)
-            assert red.contains(probe) == (not any(oracle.residual(probe)))
+            assert any(red.residual(probe)) == any(oracle.residual(probe))
 
 
 class TestLazyListElimination:
@@ -529,7 +531,7 @@ class TestTailSteps:
         for row in packed_path_rows(rng, p, width, nrows=4):
             kept = list(row)
             assert red.residual(row) == oracle.residual(row) and row == kept
-            assert red.contains(row) == (not any(oracle.residual(row))) and row == kept
+            assert any(red.residual(row)) == any(oracle.residual(row)) and row == kept
             assert red.add(row) == oracle.add(row) and row == kept
         assert list(red.pivots.items()) == list(oracle.pivots.items())
 
@@ -547,6 +549,52 @@ class TestTailSteps:
                 assert (red.add(row), oracle.add(row)) == (True, True)
             assert list(red.pivots.items()) == list(oracle.pivots.items())
             assert red.pivots[2][:3] == [0, 0, 1]
+
+def pack_unreduced(rng, row, p, nbytes):
+    """`row` packed at `nbytes`, each slot a random lift below 2*p**2 of its
+    entry mod p, as `Veronese.push` leaves the top rung's slots."""
+    return pack([a % p + p * rng.randrange(2 * p - 1) for a in row], nbytes)
+
+
+class TestPackedRows:
+    """A reducer declared wider than PACK_MIN_WIDTH takes rows packed at its
+    slot width, and reads them as it reads the same rows given as lists."""
+
+    @pytest.mark.parametrize("width", [PACK_MIN_WIDTH + 1, 120])
+    @pytest.mark.parametrize("modulus", ["101", "prime", "p1*p2"])
+    def test_packed_rows_match_list_rows(self, ctxs, modulus, width):
+        p = {"101": 101, "prime": ctxs[0].p, "p1*p2": ctxs[0].p * ctxs[1].p}[modulus]
+        rng = derive_rng(SEED, "packed-rows", p, width)
+        packed, lists = RowReducer(p, width), RowReducer(p)
+        assert packed.nbytes
+        for row in packed_path_rows(rng, p, width, nrows=8):
+            assert packed.add(pack_unreduced(rng, row, p, packed.nbytes)) == lists.add(row)
+        assert 0 < packed.rank == lists.rank < width
+        assert list(packed.pivots.items()) == list(lists.pivots.items())
+        for probe in packed_path_rows(rng, p, width, nrows=2):
+            assert packed.residual(pack_unreduced(rng, probe, p, packed.nbytes)) == \
+                lists.residual(probe)
+
+    # Every slot starts at its largest lift below 2*p**2 (module docstring).
+    @pytest.mark.parametrize("full_rank", [True, False])
+    def test_worst_case_slot_growth_from_unreduced_slots(self, full_rank):
+        check_worst_case_growth(330, full_rank, lift=2 * 3612720013493706217 - 2)
+
+    def test_a_packed_row_needs_a_declared_packed_width(self):
+        for red in (RowReducer(101), RowReducer(101, PACK_MIN_WIDTH)):
+            for call in (red.add, red.residual):
+                with pytest.raises(ValueError, match="packed"):
+                    call(5)
+        red = RowReducer(101, PACK_MIN_WIDTH + 1)
+        for row in (-1, 1 << 8 * red.nbytes * (PACK_MIN_WIDTH + 1)):
+            for call in (red.add, red.residual):
+                with pytest.raises(ValueError, match="packed"):
+                    call(row)
+        for row in ([1] * PACK_MIN_WIDTH, [1] * (PACK_MIN_WIDTH + 2)):
+            with pytest.raises(ValueError, match="width"):
+                red.add(row)
+        assert red.rank == 0
+
 
 def dense_mat_vec(mat, vec, p):
     """Oracle: one dot product per output coordinate."""

@@ -26,7 +26,9 @@ Source: Harris, Lecture 13, the Hilbert functions of the Veronese and
 Segre varieties.  Most cases here have h2 far below C(R+2, 2) (v_3(P^3):
 84 of 210 columns), so `hilbert2` stops on a stalled rank, not at full
 rank.  Each case runs under one prime with one trial, so no maximum
-across primes or trials can hide a draw that reads short.
+across primes or trials can hide a draw that reads short.  Each h2 case
+runs again under both primes, where one pass reads every draw modulo
+p1*p2 up to PRODUCT_MAX_WIDTH columns, and each prime its own above.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ from math import comb
 
 import pytest
 
+from secantry import hilbert
 from secantry.hilbert import hilbert2
-from secantry.linalg import derive_rng
+from secantry.linalg import PRODUCT_MAX_WIDTH, derive_rng
 from secantry.terracini import secant_dim
 from secantry.variety import projective_space, segre_pair, veronese
 
@@ -93,3 +96,36 @@ def test_segre_h2(ctxs, a, b):
     spec = segre_pair(projective_space(a), projective_space(b))
     assert (hilbert2(spec, ctxs[:1], derive_rng(SEED, "oracle-segre", a, b))
             == comb(a + 2, 2) * comb(b + 2, 2))
+
+
+def h2_moduli(spec, ctxs, label, monkeypatch) -> tuple[int, set[int]]:
+    """hilbert2 under every prime of `ctxs`, and the moduli its passes ran modulo."""
+    moduli, fold = set(), hilbert.fold
+    monkeypatch.setattr(hilbert, "fold", lambda rows, p, *args: moduli.add(p) or fold(rows, p, *args))
+    return hilbert2(spec, ctxs, derive_rng(SEED, label)), moduli
+
+
+def expected_moduli(spec, ctxs) -> set[int]:
+    """p1*p2 alone when the quadric rows fit PRODUCT_MAX_WIDTH (no fallback), else each prime."""
+    wide = comb(spec.ambient + 2, 2) > PRODUCT_MAX_WIDTH
+    return {c.p for c in ctxs} if wide else {ctxs[0].p * ctxs[1].p}
+
+
+def test_h2_cases_reach_both_paths():
+    widths = [comb(comb(n + d, d) + 1, 2) for n, d in VERONESE]
+    widths += [comb((a + 1) * (b + 1) + 1, 2) for a, b in SEGRE]
+    assert min(widths) <= PRODUCT_MAX_WIDTH < max(widths) == 325  # Segre P^4 x P^4
+
+
+@pytest.mark.parametrize("n, d", VERONESE, ids=[f"v{d}-P{n}" for n, d in VERONESE])
+def test_veronese_h2_under_both_primes(ctxs, monkeypatch, n, d):
+    spec = veronese(projective_space(n), d)
+    h2, moduli = h2_moduli(spec, ctxs, f"oracle-veronese-both/{n}/{d}", monkeypatch)
+    assert (h2, moduli) == (comb(n + 2 * d, n), expected_moduli(spec, ctxs))
+
+
+@pytest.mark.parametrize("a, b", SEGRE, ids=[f"P{a}xP{b}" for a, b in SEGRE])
+def test_segre_h2_under_both_primes(ctxs, monkeypatch, a, b):
+    spec = segre_pair(projective_space(a), projective_space(b))
+    h2, moduli = h2_moduli(spec, ctxs, f"oracle-segre-both/{a}/{b}", monkeypatch)
+    assert (h2, moduli) == (comb(a + 2, 2) * comb(b + 2, 2), expected_moduli(spec, ctxs))

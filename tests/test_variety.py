@@ -12,7 +12,8 @@ import pytest
 
 import secantry
 
-from secantry.linalg import PrimeContext, RowReducer, derive_rng, rank, row_basis
+from secantry.linalg import (PACK_MIN_WIDTH, PrimeContext, RowReducer, derive_rng, rank,
+                             row_basis)
 from secantry.mpoly import MPoly, PolyMap, monomial_exponents, parse_poly, random_poly
 from secantry.variety import (MAX_AMBIENT, CenterContainsVariety, CenterDependent, NoRootFound,
                               NotParametric, ProjectFrom, SampleExhausted,
@@ -76,7 +77,7 @@ class TestSamplerContract:
                     red = RowReducer(ctx.p)
                     for row in pf.frame:
                         red.add(row)
-                    assert red.contains(pf.point), name
+                    assert not any(red.residual(pf.point)), name
 
     def test_basis_frames_are_not_eliminated_again(self, ctxs, monkeypatch):
         # Veronese (p not dividing d), ConeOver, JoinLinear and ConeSection
@@ -344,6 +345,31 @@ class TestVeroneseLadder:
                 vals, ders = spec.push(q, dirs, p)
                 assert vals == push_point_oracle(combos, q, p)
                 assert ders == [push_dir_oracle(combos, q, v, p) for v in dirs]
+
+    # The top rung packed at a reducer's slot width: rows of 36 and 45
+    # columns for d = 2 (n = 7, 8), 35 and 56 for d = 3 (n = 4, 5), either
+    # side of PACK_MIN_WIDTH.  Each slot is the list push's entry mod p,
+    # unreduced below 2*p**2.
+    @pytest.mark.parametrize("product", [False, True], ids=["prime", "p1*p2"])
+    @pytest.mark.parametrize("d, n", [(2, 7), (2, 8), (3, 4), (3, 5)])
+    def test_packed_top_rung_is_the_list_push(self, ctxs, d, n, product):
+        p = ctxs[0].p * ctxs[1].p if product else ctxs[0].p
+        spec, rng = veronese(projective_space(n), d), derive_rng(SEED, "packed-rung", d, n, p)
+        width = spec.ambient + 1
+        nbytes = RowReducer(p, max(width, PACK_MIN_WIDTH + 1)).nbytes
+        assert (width > PACK_MIN_WIDTH) == (n in (8, 5))
+
+        def slots(packed):
+            assert 0 <= packed < 1 << 8 * nbytes * width
+            return [packed >> 8 * nbytes * c & (1 << 8 * nbytes) - 1 for c in range(width)]
+        for _ in range(4):
+            q = [rng.choice((0, rng.randrange(p))) for _ in range(n + 1)]
+            dirs = [[rng.randrange(p) for _ in range(n + 1)] for _ in range(n + 1)]
+            vals, ders = spec.push(q, dirs, p)
+            packed_vals, packed_ders = spec.push(q, dirs, p, nbytes)
+            for row, packed in zip([vals] + ders, [packed_vals] + packed_ders):
+                assert [a % p for a in slots(packed)] == row
+                assert max(slots(packed)) < 2 * p * p
 
     def test_chart_is_pulled_back_monomials(self, ctxs):
         child = scroll([1, 2])
