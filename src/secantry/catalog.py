@@ -274,7 +274,7 @@ FAMILIES: dict[str, Family] = {
             _defect_one(19, 2), 4)),
 }
 
-# Flat views of the table, for callers that want one column.
+# Flat views of the table, one column each: `perfbench/workloads.py` (`constructible`) reads them.
 FAMILY_DOMAINS = {name: f.domain for name, f in FAMILIES.items()}
 FAMILY_VARIANTS = {name: f.variants for name, f in FAMILIES.items()}
 NOT_CONSTRUCTIBLE_REASONS = {name: f.note for name, f in FAMILIES.items() if f.make is None}
@@ -312,6 +312,7 @@ def verify_family(entry: CatalogEntry, ctxs, rng: random.Random,
     tan = tangential_projection(entry.spec, k, ctxs, rng, report=scan.top)
     top = scan.top
     top.draws.clear()  # read by the projection alone; verify_all keeps every result
+    top.samples.clear()
     mism: list[str] = []
     delta_k = expected_secant_dim(top.r, top.n, k) - top.chain[k]
     if top.r != exp.r:

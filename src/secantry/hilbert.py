@@ -52,10 +52,10 @@ def hilbert2(spec: VarietySpec, ctxs: list[PrimeContext], rng: random.Random,
     STALL points in a row add no rank, or C(R+2, 2) + STALL points (R+1
     coordinates) were read.  The maximum over passes is reported.
 
-    Passes run under `variety.per_modulus`: once modulo p1*p2, when given samples
-    are one list shared by every prime (as a chain measured modulo p1*p2 files
-    them) and C(R+2, 2) <= `linalg.PRODUCT_MAX_WIDTH`, or one per prime on
-    `samples[p]`.  Rows come packed at the reducer's slot width (`Veronese.push`).
+    Passes run under `variety.per_modulus`, which says when one pass modulo p1*p2
+    serves every prime, on `samples[p]` (such as `SecantReport.samples`) with the
+    C(R+2, 2) quadric columns as their width.  Rows come packed at the reducer's
+    slot width (`Veronese.push`).
 
     No row x.v lifts the rank past h2: B_Q(x, v) = 0 for every quadric Q on
     X and v tangent to the cone at x, so x.v lies in span v2(X).  The
@@ -79,10 +79,10 @@ def hilbert2(spec: VarietySpec, ctxs: list[PrimeContext], rng: random.Random,
         fresh = (spec.sample(ctx, rng) for _ in itertools.count())
         stream = itertools.chain(given or (), fresh)
         tangent = (row for pf in stream for row in v2.push(pf.point, pf.frame, p, red.nbytes).frame)
-        fold(tangent, p, ncols, 1, red)
+        fold(tangent, red, 1)
         if red.rank < ncols:
             points = itertools.islice(stream, ncols + STALL)  # the samples not yet read
-            fold((v2.push(pf.point, (), p, red.nbytes).point for pf in points), p, ncols, STALL, red)
+            fold((v2.push(pf.point, (), p, red.nbytes).point for pf in points), red, STALL)
         return red.rank
 
     return max(per_modulus(spec, ctxs, run, samples, ncols).values())

@@ -2,10 +2,8 @@
 
 Everything here is tolerance-free: matrices hold Python integers, all
 arithmetic is done modulo a prime p, and a rank statement is an exact
-statement about the given matrix.  Randomized callers re-run computations
-under a second independently drawn prime because unlucky evaluation points
-can only *drop* a rank, never raise it (the Schwartz-Zippel direction), so
-the maximum observed value across primes and trials is the accepted one.
+statement about the given matrix.  How randomized callers read such ranks
+(the one-sided-error rule) is stated once, in the `terracini` module.
 
 Field elements are plain ints in [0, p); a matrix is a list of rows.
 
@@ -135,24 +133,21 @@ def make_contexts(seed: int, count: int = 2, bits: int = 62) -> list[PrimeContex
 
 
 class RowReducer:
-    """Incremental Gaussian elimination over F_p.
+    """Incremental Gaussian elimination over F_p of rows of `width` columns.
 
     Rows are fed one at a time; each independent row is normalized (pivot 1),
-    unlike a `row_basis` row, and stored keyed by its pivot column.  The width,
-    declared or the first row's, is kept: any other raises ValueError, as does a
-    packed row unless it fits a width above PACK_MIN_WIDTH at `nbytes` bytes a
-    slot (`pack`).  `pivots` holds lists even when rows are eliminated packed.
+    unlike a `row_basis` row, and stored keyed by its pivot column.  A row of
+    another width raises ValueError, as does a packed row unless `width` is above
+    PACK_MIN_WIDTH and it fits at `nbytes` bytes a slot (`pack`).  `pivots`
+    holds lists even when rows are eliminated packed.
     """
 
-    def __init__(self, p: int, width: int | None = None):
-        self.p, self.pivots = p, {}
+    def __init__(self, p: int, width: int):
+        self.p, self.width, self.pivots = p, width, {}
+        wide = width > PACK_MIN_WIDTH  # nbytes: slot bits in bytes, or 0 for lists
+        self.nbytes = -(-(2 * p.bit_length() + width.bit_length() + 1) // 8) if wide else 0
+        self._free = list(range(width)) if wide else []  # packed path: the non-pivot columns
         self._packed: list[tuple[int, int]] = []  # (slot shift, packed pivot row)
-        self._set_width(width)
-
-    def _set_width(self, n: int | None) -> None:  # nbytes: slot bits in bytes, or 0 for lists
-        self._width, wide = n, (n or 0) > PACK_MIN_WIDTH
-        self.nbytes = -(-(2 * self.p.bit_length() + n.bit_length() + 1) // 8) if wide else 0
-        self._free = list(range(n)) if wide else []  # packed path: the non-pivot columns
 
     @property
     def rank(self) -> int:
@@ -160,14 +155,12 @@ class RowReducer:
 
     def _reduce(self, row: list[int] | int) -> list[int]:
         """`row` less its combination of the stored pivot rows, entries unreduced."""
+        p, nbytes, n = self.p, self.nbytes, self.width
         if isinstance(row, int):
-            if not self.nbytes or row < 0 or row.bit_length() > 8 * self.nbytes * self._width:
-                raise ValueError(f"not a row packed at this reducer's {self.nbytes}-byte slots")
-        elif len(row) != self._width:
-            if self._width is not None:
-                raise ValueError(f"row of width {len(row)} in a span of width {self._width}")
-            self._set_width(len(row))
-        p, nbytes, n = self.p, self.nbytes, self._width
+            if not nbytes or row < 0 or row.bit_length() > 8 * nbytes * n:
+                raise ValueError(f"not a row packed at this reducer's {nbytes}-byte slots")
+        elif len(row) != n:
+            raise ValueError(f"row of width {len(row)} in a span of width {n}")
         if not nbytes:
             r = list(row)
             for col, prow in self.pivots.items():
@@ -205,21 +198,20 @@ class RowReducer:
         return False
 
 
-def fold(rows: Iterable[list[int]], p: int, full: int | None = None,
-         stall: int | None = None, red: RowReducer | None = None) -> RowReducer:
-    """`red` (a new RowReducer by default) with `rows` folded in, read lazily
-    until its rank is `full` or `stall` consecutive rows have added nothing."""
-    red, idle = red or RowReducer(p), 0
+def fold(rows: Iterable[list[int] | int], red: RowReducer, stall: int | None = None) -> RowReducer:
+    """`red` with `rows` folded in, read lazily until its rank is its width or
+    `stall` consecutive rows have added nothing."""
+    idle = 0
     for row in rows:
         idle = 0 if red.add(row) else idle + 1
-        if red.rank == full or idle == stall:
+        if red.rank == red.width or idle == stall:
             break
     return red
 
 
 def rank(mat: list[list[int]], p: int) -> int:
     """Row rank of an integer matrix modulo p, by Gaussian elimination."""
-    return fold(mat, p).rank
+    return fold(mat, RowReducer(p, len(mat[0]) if mat else 0)).rank
 
 
 def rank_over_q(mat: list[list[int]]) -> int:
@@ -278,7 +270,7 @@ def kernel_basis(mat: list[list[int]], p: int) -> list[list[int]]:
     if not mat:
         raise ValueError("kernel of an empty matrix is ambiguous")
     ncols = len(mat[0])
-    red = fold(mat, p)
+    red = fold(mat, RowReducer(p, ncols))
     res = [red.residual([int(c == j) for c in range(ncols)]) for j in range(ncols)]
     return [[r[f] for r in res] for f in range(ncols) if f not in red.pivots]
 

@@ -6,12 +6,14 @@ of X.  In the affine-cone model every tangent space is a frame of n+1
 rows, so s^(k) is simply rank(stacked frames of k+1 samples) - 1.  The image
 of the k-tangential projection has tangent space T_{k+1} mod span(T_1..T_k),
 so its dimension is n_k = s^(k) - s^(k-1) - 1 on a trial whose first k frames
-have full rank s^(k-1) + 1 (Chiantini-Ciliberto, Trans. AMS 354 (2002)).
+have full rank s^(k-1) + 1 (Chiantini-Ciliberto, Weakly defective varieties,
+Trans. AMS 354 (2002)).
 
 Randomization over a 62-bit prime field has one-sided error: an unlucky
-point or prime can only lower a rank.  Every dimension is therefore the
-maximum over independent trials, repeated under two independently drawn
-primes, with an `agreement` flag recording whether all runs concurred.
+point or prime can only lower a rank (the Schwartz-Zippel direction).  Every
+dimension is therefore the maximum over independent trials, repeated under two
+independently drawn primes, with an `agreement` flag recording whether all runs
+concurred.
 
 A measurement (chain trials, then span) runs under `variety.per_modulus`:
 once modulo p1*p2, filed under each prime, or whole per prime.
@@ -67,6 +69,8 @@ class SecantReport:
     agreement: bool
     # Each prime's chain trials by p, one list shared by a run mod p1*p2 (verify_family drops them).
     draws: dict[int, list[Trial]] = field(repr=False, compare=False)
+    # Each prime's trial samples in draw order, as its span read them: shared, as `draws` is.
+    samples: dict[int, list[PointFrame]] = field(repr=False, compare=False)
 
 
 @dataclass
@@ -111,7 +115,7 @@ class ContactShape:
 def _chain_once(spec: VarietySpec, k: int, ctx: PrimeContext | _Product,
                 rng: random.Random) -> Trial:
     """One trial: ranks of stacked frames of 1..k+1 samples, minus 1."""
-    red, chain, samples = RowReducer(ctx.p), [], []
+    red, chain, samples = RowReducer(ctx.p, spec.ambient + 1), [], []
     for _ in range(k + 1):
         samples.append(pf := spec.sample(ctx, rng))
         for row in pf.frame:
@@ -134,20 +138,22 @@ def secant_dim(spec: VarietySpec, k: int, ctxs: list[PrimeContext],
     """
     if k < 0 or trials < 1:
         raise ValueError("need k >= 0 and trials >= 1")
-    def run(ctx: PrimeContext | _Product, _given) -> tuple[list[Trial], int]:  # one measurement
+    def run(ctx: PrimeContext | _Product, _given) -> tuple[list[Trial], int, list[PointFrame]]:
         ts = [_chain_once(spec, k, ctx, rng) for _ in range(trials)]
-        return ts, span_dim(spec, ctx, rng, samples=[pf for t in ts for pf in t.samples])
+        samples = [pf for t in ts for pf in t.samples]
+        return ts, span_dim(spec, ctx, rng, samples=samples), samples
 
     runs = per_modulus(spec, ctxs, run)
-    draws = {p: ts for p, (ts, _) in runs.items()}  # as on SecantReport
-    r = max(span for _, span in runs.values()) - 1
+    draws = {p: ts for p, (ts, _, _) in runs.items()}  # as on SecantReport
+    r = max(span for _, span, _ in runs.values()) - 1
     chains = [t.chain for ts in draws.values() for t in ts]
     chain = [max(c[h] for c in chains) for h in range(k + 1)]
-    agreement = all(c == chain for c in chains) and all(s - 1 == r for _, s in runs.values())
+    agreement = all(c == chain for c in chains) and all(s - 1 == r for _, s, _ in runs.values())
     sigma_k = expected_secant_dim(r, spec.dim, k)
     return SecantReport(k=k, r=r, n=spec.dim, chain=chain, sigma_k=sigma_k,
                         delta_k=sigma_k - chain[k], trials=trials, primes=[c.p for c in ctxs],
-                        agreement=agreement, draws=draws)
+                        agreement=agreement, draws=draws,
+                        samples={p: flat for p, (_, _, flat) in runs.items()})
 
 
 def min_defective_scan(spec: VarietySpec, k_max: int, ctxs: list[PrimeContext],
@@ -172,16 +178,14 @@ def tangential_projection(spec: VarietySpec, k: int, ctxs: list[PrimeContext], r
 
     Reads the trials of `report`, measured to order >= k (default: secant_dim);
     a report of lower order or with no trials under a prime of `ctxs` raises ValueError.
-    By Terracini's lemma n_k = chain[k] - s^(k-1) - 1 on a trial whose first k
-    frames reach the accepted s^(k-1) + 1 (Chiantini-Ciliberto, Weakly
-    defective varieties, Trans. AMS 354 (2002)); only such full-rank centers
-    count, so n_k errs only low when the accepted s^(k-1) is correct, as it is
-    when it reaches min(R, n*k + k - 1), R the ambient dimension.  Below that
-    an s^(k-1) read low can read n_k high.  Each prime projects from the first
-    k frames of its best such trial, unless that trial gained no rank at order
-    k (an image of dimension -1); projected_spec reached the maximum, the first
-    prime's on a tie, and is bound to its prime.  SampleExhausted when no prime
-    keeps a projection.
+    n_k is read off full-rank trials, as the module docstring says, so it errs
+    only low when the accepted s^(k-1) is correct, as it is when it reaches
+    min(R, n*k + k - 1), R the ambient dimension.  Below that an s^(k-1) read
+    low can read n_k high.  Each prime projects from the first k frames of its
+    best such trial, unless that trial gained no rank at order k (an image of
+    dimension -1); projected_spec reached the maximum, the first prime's on a
+    tie, and is bound to its prime.  SampleExhausted when no prime keeps a
+    projection.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -234,7 +238,7 @@ def _gauss_fiber_once(spec: VarietySpec, cmap: PolyMap, ctx: PrimeContext,
     for _ in range(linalg.SAMPLE_RETRIES):
         t = [rng.randrange(p) for _ in range(c)]
         value, d1 = cmap.partial_rows(t, p)
-        tangent = linalg.fold([value] + d1, p)
+        tangent = linalg.fold([value] + d1, RowReducer(p, len(value)))
         if tangent.rank != n + 1:
             continue
         # The frame holds the value and its first partials d1.  The value's

@@ -89,7 +89,7 @@ class _Resample(Exception):
 def _pick_root(g: MPoly, values: list[int], j: int, p: int,
                rng: random.Random) -> tuple[list[int], list[int]]:
     """`values` with slot j set to a uniformly drawn root of g restricted to that
-    slot, and the gradient of g there."""
+    slot, and the gradient of g there, which is nonzero (`singular_point`)."""
     f = g.to_univariate(values[:j] + [None] + values[j + 1:], p)
     if not f:
         raise _Resample("zero_restriction")
@@ -101,17 +101,19 @@ def _pick_root(g: MPoly, values: list[int], j: int, p: int,
     if value:
         # A wrong root is a bug, not bad luck: never resample it away.
         raise ArithmeticError("sampled point does not satisfy the equation")
+    if not any(grad):
+        raise _Resample("singular_point")
     return point, grad
 
 
 def _section(rows: list[list[int]], pairing: list[int], p: int) -> list[list[int]]:
     """The combinations c . rows with c orthogonal to `pairing`: pairing[j] times row f
-    minus pairing[f] times row j for f != j, j its first entry nonzero mod p; with no j,
-    every row.  Independent rows give independent combinations, pairing[j] being a unit
-    mod the prime p."""
+    minus pairing[f] times row j for f != j, j its first entry nonzero mod p (a zero
+    pairing is a `frame_rank` resample).  Independent rows give independent
+    combinations, pairing[j] being a unit mod the prime p."""
     j = next((f for f, a in enumerate(pairing) if a % p), None)
     if j is None:
-        return [[a % p for a in row] for row in rows]
+        raise _Resample("frame_rank")
     v = pairing[j]
     return [[(v * a - c * b) % p for a, b in zip(row, rows[j])]
             for f, row in enumerate(rows) if f != j for c in [pairing[f]]]
@@ -379,7 +381,7 @@ class ProjectFrom(VarietySpec):
         if ctx.p not in self._reducers:
             if self.bound_p is not None and ctx.p != self.bound_p:
                 raise ValueError("this projection is bound to a different prime")
-            red = linalg.fold(self.center, ctx.p)
+            red = linalg.fold(self.center, linalg.RowReducer(ctx.p, self.child.ambient + 1))
             if red.rank < len(self.center):
                 raise CenterDependent("projection center rows are dependent mod p")
             self._reducers[ctx.p] = red, [c for c in range(self.child.ambient + 1)
@@ -442,8 +444,6 @@ class Hypersurface(VarietySpec):
                                  j, p, rng)
         if not any(point):
             raise _Resample("zero_point")
-        if not any(grad):
-            raise _Resample("singular_point")
         units = [[int(i == f) for i in range(self.m + 1)] for f in range(self.m + 1)]
         return PointFrame(point, _section(units, grad, p))
 
@@ -483,8 +483,6 @@ class RestrictedChart(VarietySpec):
         if not any(point):
             raise _Resample("zero_point")
         # Tangent directions in parameter space: the kernel of w = d(g o chart).
-        if not any(w):
-            raise _Resample("singular_point")
         return _framed(self, point, [point] + _section(partials, w, p), p)
 
     def to_obj(self):
@@ -521,16 +519,11 @@ class ConeSection(VarietySpec):
         p = ctx.p
         pf = self.child.sample(ctx, rng)
         point, grad = _pick_root(self.g, pf.point + [0], self.ambient, p, rng)
-        if not any(grad):
-            raise _Resample("singular_point")
         ruling = [0] * (self.ambient + 1)
         ruling[-1] = 1
         big = [row + [0] for row in pf.frame] + [ruling]
         # The tangent space is span(big) cut by the gradient hyperplane.
-        pairing = linalg.mat_vec(big, grad, p)
-        if not any(pairing):
-            raise _Resample("frame_rank")
-        return PointFrame(point, _section(big, pairing, p))
+        return PointFrame(point, _section(big, linalg.mat_vec(big, grad, p), p))
 
     def to_obj(self):
         return {"op": "cone_section", "equation": poly_str(self.g),
@@ -582,6 +575,10 @@ class JoinLinear(VarietySpec):
 # Public constructors
 # ---------------------------------------------------------------------------
 
+# These constructors are their node classes: each would only forward its arguments.
+veronese, segre_pair, cone_over = Veronese, SegrePair, ConeOver
+hypersurface, cone_section, join_linear = Hypersurface, ConeSection, JoinLinear
+
 
 def parametric(coords: list[MPoly], scaled: bool = False,
                degree: int | None = None) -> Parametric:
@@ -625,22 +622,6 @@ def rational_normal_curve(d: int) -> Parametric:
     return scroll([d])
 
 
-def veronese(child: VarietySpec, d: int) -> Veronese:
-    return Veronese(child, d)
-
-
-def segre_pair(left: VarietySpec, right: VarietySpec) -> SegrePair:
-    return SegrePair(left, right)
-
-
-def cone_over(child: VarietySpec, vertex_dim: int) -> ConeOver:
-    return ConeOver(child, vertex_dim)
-
-
-def hypersurface(m: int, equation: MPoly) -> Hypersurface:
-    return Hypersurface(m, equation)
-
-
 def _standard_quadric_chart() -> PolyMap:
     # Chart of the smooth quadric x1*x2 + x3*x4 - x0*x5 = 0 in P^5,
     # by stereographic projection from (0:...:0:1): t -> (1, t, t1t2+t3t4).
@@ -661,10 +642,6 @@ def on_quadric(extra_equation: MPoly) -> RestrictedChart:
         raise ValueError("extra equation must use the 6 coordinates of P^5")
     return RestrictedChart(_standard_quadric_chart(), extra_equation, solve_var=0,
                            ctor={"op": "on_quadric", "equation": poly_str(extra_equation)})
-
-
-def cone_section(child: VarietySpec, equation: MPoly) -> ConeSection:
-    return ConeSection(child, equation)
 
 
 def random_cone_section(child: VarietySpec, degree: int, rng: random.Random) -> ConeSection:
@@ -712,10 +689,6 @@ def fibered_join(base: PolyMap, fiber: PolyMap) -> Parametric:
             "base": [poly_str(c, "t") for c in base.coords],
             "fiber": [poly_str(c, "t") for c in fiber.coords]}
     return Parametric(_join_map(base, fiber), scaled=True, ctor=ctor)
-
-
-def join_linear(child: VarietySpec, block: list[list[int]]) -> JoinLinear:
-    return JoinLinear(child, block)
 
 
 def project_from(child: VarietySpec, center: list[list[int]],
@@ -788,7 +761,7 @@ def span_dim(spec: VarietySpec, ctx: PrimeContext, rng: random.Random,
     """
     fresh = (spec.sample(ctx, rng) for _ in range(spec.ambient + 2 - len(samples)))
     points = (pf.point for pf in itertools.chain(samples, fresh))
-    return linalg.fold(points, ctx.p, spec.ambient + 1).rank
+    return linalg.fold(points, linalg.RowReducer(ctx.p, spec.ambient + 1)).rank
 
 
 class _Product(NamedTuple):

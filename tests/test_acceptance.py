@@ -226,7 +226,7 @@ def test_criterion_9_property_suite(ctxs):
             for s in range(2):
                 pf = spec.sample(ctx, derive_rng(SEED, "c9-frame", name, ctx.p, s))
                 assert rank(pf.frame, ctx.p) == spec.dim + 1, name
-                red = RowReducer(ctx.p)
+                red = RowReducer(ctx.p, spec.ambient + 1)
                 for row in pf.frame:
                     red.add(row)
                 assert not any(red.residual(pf.point)), name

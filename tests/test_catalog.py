@@ -119,7 +119,7 @@ class TestVerifyFamily:
         entry = build_family("F13", 2, "full")
         res = verify_family(entry, ctxs, derive_rng(SEED, "vf"), trials=2)
         assert res.passed and res.tangential.n_k == entry.expected.n_k
-        assert res.scan.top.draws == {}
+        assert res.scan.top.draws == res.scan.top.samples == {}
         assert not hasattr(res.scan.top, "points")
         # So the report cannot feed another projection, and says why.
         with pytest.raises(ValueError, match="no trials"):
@@ -127,13 +127,20 @@ class TestVerifyFamily:
                                   report=res.scan.top)
 
     def test_mismatches_are_surfaced_not_raised(self, ctxs):
+        # Every field of the row set one off: each is reported, in order.
         entry = build_family("F13", 2, "full")
-        wrong = dataclasses.replace(entry.expected, n_k=1, s_k=9)
-        entry.expected = wrong
+        exp = entry.expected  # r 13, s_k 10, delta_k 1, n_k 2, s_(k+1) 12
+        entry.expected = dataclasses.replace(exp, r=14, s_k=9, delta_k=2, n_k=1, s_k_plus_1=11)
         res = verify_family(entry, ctxs, derive_rng(SEED, "vm"), trials=2)
         assert not res.passed
-        assert any(m.startswith("n_k") for m in res.mismatches)
-        assert any(m.startswith("s_k:") for m in res.mismatches)
+        assert res.mismatches == ["r: expected 14, measured 13", "s_k: expected 9, measured 10",
+                                  "delta_k: expected 2, measured 1", "n_k: expected 1, measured 2",
+                                  "s_(k+1): expected 11, measured 12"]
+        # Read at order 3, the entry is first defective at 2: not minimal there.
+        entry.expected, entry.k_eval = exp, 3
+        res = verify_family(entry, ctxs, derive_rng(SEED, "vm"), trials=2)
+        assert not res.passed
+        assert "minimal: expected first defective k=3, measured 2" in res.mismatches
 
 
 class TestVerifyAll:

@@ -368,8 +368,9 @@ class TestCatalogCommands:
 # directory fails the rename over it.
 @pytest.mark.parametrize("args", [
     ["analyze", str(SPECS / "twisted-cubic.variety.json"), "--k", "1"],
+    ["catalog", "verify", "--family", "EX_VERONESE_P3", "--k", "1", "--trials", "1"],
     ["catalog", "list"],
-], ids=["analyze", "catalog-list"])
+], ids=["analyze", "catalog-verify", "catalog-list"])
 @pytest.mark.parametrize("target", ["missing/r.json", "dir"])
 def test_unwritable_out_exit_1(args, target, tmp_path, capsys):
     (tmp_path / "dir").mkdir()

@@ -198,10 +198,10 @@ def record_folds(monkeypatch) -> list:
     """Patch hilbert's `fold` to record each modulus and any ValueError's text."""
     calls, real = [], hilbert.fold
 
-    def spy(rows, p, *args):
-        calls.append(p)
+    def spy(rows, red, *args):
+        calls.append(red.p)
         try:
-            return real(rows, p, *args)
+            return real(rows, red, *args)
         except ValueError as exc:
             calls.append(str(exc))
             raise
@@ -267,10 +267,11 @@ class TestHilbert2Product:
         assert moduli == {23, 29}
         assert calls == [23, 23, 29, 29]
 
-    # The CLI hands hilbert2 the chain's samples, one list per distinct trial
-    # list.  At seed 0 (23, 29) the chain's pass modulo 23*29 stands, its list
-    # is shared and hilbert2 runs once modulo 23*29; at seed 2 (31, 29) the
-    # chain fell back per prime, and hilbert2 runs per prime on each list.
+    # The CLI hands hilbert2 the chain report's samples, one list under both
+    # primes when the chain ran modulo p1*p2.  At seed 0 (23, 29) the chain's
+    # pass modulo 23*29 stands, its list is shared and hilbert2 runs once
+    # modulo 23*29; at seed 2 (31, 29) the chain fell back per prime, and
+    # hilbert2 runs per prime on each list.
     @pytest.mark.parametrize("seed, moduli", [(0, [667, 667]), (2, [31, 31, 29, 29])],
                              ids=["product", "per-prime"])
     def test_cli_reads_the_chains_samples_per_distinct_list(self, monkeypatch, seed, moduli):

@@ -10,7 +10,7 @@ import sympy
 from secantry.linalg import (PACK_MIN_WIDTH, PrimeContext, RowReducer,
                              derive_rng, fold, is_prime_u64, kernel_basis, make_contexts,
                              mat_vec, pack, random_prime, rank, rank_over_q, row_basis)
-from secantry.variety import _section
+from secantry.variety import _Resample, _section
 
 from seeds import SEED
 
@@ -224,7 +224,7 @@ def kernel_by_clearing_columns(mat, p):
     """Oracle: the echelon rows with each pivot column cleared above its
     pivot by hand, last pivot first, then the kernel read off that RREF."""
     ncols = len(mat[0])
-    red = RowReducer(p)
+    red = RowReducer(p, ncols)
     for row in mat:
         red.add(row)
     pivots = sorted(red.pivots)
@@ -325,7 +325,7 @@ class TestRowBasis:
             for _ in range(20):
                 mat = basis_test_rows(rng, p, width, rng.randrange(1, width + 3))
                 held = [list(row) for row in mat]
-                basis, pivots = row_basis(mat, p), fold(mat, p).pivots
+                basis, pivots = row_basis(mat, p), fold(mat, RowReducer(p, width)).pivots
                 assert mat == held
                 # Echelon and pivot-sorted: pivot columns strictly increase, and
                 # they are the reducer's.
@@ -343,7 +343,7 @@ class TestRowBasis:
             for _ in range(30):
                 mat = basis_test_rows(rng, n, width, rng.randrange(1, width + 3))
                 try:
-                    fold(mat, n)
+                    fold(mat, RowReducer(n, width))
                 except ValueError:
                     outcomes.add("non-unit pivot")
                     with pytest.raises(ValueError, match="not invertible"):
@@ -363,7 +363,7 @@ class TestRowBasis:
 
 
 class TestRaggedRows:
-    """The first row fixes a reducer's width; any other width raises."""
+    """A row of a width other than its reducer's raises."""
 
     def test_rank_rejects_a_short_row(self):
         with pytest.raises(ValueError, match="width"):
@@ -379,7 +379,7 @@ class TestRaggedRows:
 
     @pytest.mark.parametrize("width", [3, PACK_MIN_WIDTH + 1])
     def test_residual_and_add_reject_other_widths(self, width):
-        red = RowReducer(101)
+        red = RowReducer(101, width)
         red.add([1] * width)
         for other in ([1] * (width - 1), [1] * (width + 1)):
             with pytest.raises(ValueError, match="width"):
@@ -434,7 +434,7 @@ PRIMES = [2, 3, 101, 2**61 - 1, 3612720013493706217]
 def check_against_list_oracle(p, width, label):
     """RowReducer and ListReducer agree on add, pivots, residual and membership."""
     rng = derive_rng(SEED, label, p, width)
-    red, oracle = RowReducer(p), ListReducer(p)
+    red, oracle = RowReducer(p, width), ListReducer(p)
     for row in packed_path_rows(rng, p, width, nrows=8):
         assert red.add(row) == oracle.add(row)
     assert list(red.pivots.items()) == list(oracle.pivots.items())
@@ -457,7 +457,7 @@ def check_worst_case_growth(width, full_rank, lift=0):
     pivots = [[0] * i + [1] + [p - 1] * (width - i - 1) for i in range(width)]
     if not full_rank:
         pivots.pop()
-    red, oracle = RowReducer(p, width if lift else None), ListReducer(p)
+    red, oracle = RowReducer(p, width), ListReducer(p)
     for row in pivots:
         assert red.add(row) and oracle.add(row)
     probe = [(1 - j) % p for j in range(width)]
@@ -486,7 +486,7 @@ class TestPackedElimination:
         # leave the free columns from both ends and the middle; after each
         # row, a combination of the rows so far adds nothing.
         rng = derive_rng(SEED, "out-of-order", p, width)
-        red, oracle = RowReducer(p), ListReducer(p)
+        red, oracle = RowReducer(p, width), ListReducer(p)
         leads, rows = rng.sample(range(width), 12), []
         for lead in leads:
             rows.append([0] * lead + [rng.randrange(1, p)]
@@ -527,7 +527,7 @@ class TestTailSteps:
     @pytest.mark.parametrize("p", [101, 3612720013493706217])
     def test_caller_rows_unchanged(self, p, width):
         rng = derive_rng(SEED, "caller-rows", p, width)
-        red, oracle = RowReducer(p), ListReducer(p)
+        red, oracle = RowReducer(p, width), ListReducer(p)
         for row in packed_path_rows(rng, p, width, nrows=4):
             kept = list(row)
             assert red.residual(row) == oracle.residual(row) and row == kept
@@ -544,7 +544,7 @@ class TestTailSteps:
         tail = [rng.randrange(-p, 2 * p) for _ in range(width - 3)]
         first = [1, 3] + [0] * (width - 2)
         for rows in ([[p, -2 * p, 5] + tail], [first, [2, 6, -5] + tail]):
-            red, oracle = RowReducer(p), ListReducer(p)
+            red, oracle = RowReducer(p, width), ListReducer(p)
             for row in rows:
                 assert (red.add(row), oracle.add(row)) == (True, True)
             assert list(red.pivots.items()) == list(oracle.pivots.items())
@@ -565,7 +565,7 @@ class TestPackedRows:
     def test_packed_rows_match_list_rows(self, ctxs, modulus, width):
         p = {"101": 101, "prime": ctxs[0].p, "p1*p2": ctxs[0].p * ctxs[1].p}[modulus]
         rng = derive_rng(SEED, "packed-rows", p, width)
-        packed, lists = RowReducer(p, width), RowReducer(p)
+        packed, lists = RowReducer(p, width), RowReducer(p, width)
         assert packed.nbytes
         for row in packed_path_rows(rng, p, width, nrows=8):
             assert packed.add(pack_unreduced(rng, row, p, packed.nbytes)) == lists.add(row)
@@ -581,7 +581,7 @@ class TestPackedRows:
         check_worst_case_growth(330, full_rank, lift=2 * 3612720013493706217 - 2)
 
     def test_a_packed_row_needs_a_declared_packed_width(self):
-        for red in (RowReducer(101), RowReducer(101, PACK_MIN_WIDTH)):
+        for red in (RowReducer(101, 3), RowReducer(101, PACK_MIN_WIDTH)):
             for call in (red.add, red.residual):
                 with pytest.raises(ValueError, match="packed"):
                     call(5)
@@ -630,7 +630,7 @@ class TestKernelColumns:
         for width in [*range(2, 41), 41, 46, 55, 90]:
             for _ in range(3):
                 center = random_center_matrix(rng, p, width)
-                kmap, red = kernel_basis(center, p), fold(center, p)
+                kmap, red = kernel_basis(center, p), fold(center, RowReducer(p, width))
                 free = [c for c in range(width) if c not in red.pivots]
                 assert [row[f] for row, f in zip(kmap, free, strict=True)] == [1] * len(kmap)
                 vec = [rng.randrange(p) for _ in range(width)]
@@ -647,9 +647,10 @@ class TestKernelColumns:
         rows = [[rng.randrange(p) for _ in range(6)] for _ in range(4)]
         # One column paired with a nonzero value: the kernel is empty.
         assert kernel_basis([[5]], p) == [] and _section(rows[:1], [5], p) == []
-        # An all-zero pairing: the kernel is the identity, rows come back mod p.
-        wide = [[a + p for a in row] for row in rows]
-        assert _section(wide, [0] * 4, p) == rows
+        # An all-zero pairing cuts nothing: the draw is resampled.
+        with pytest.raises(_Resample) as exc:
+            _section(rows, [0, p, 0, -p], p)
+        assert exc.value.cause == "frame_rank"
         # A generic pairing: the dense product through the kernel map, each row
         # times pairing[0], the entry _section scales by in place of inverting it.
         pairing = [rng.randrange(1, p) for _ in range(4)]

@@ -101,7 +101,7 @@ def test_segre_h2(ctxs, a, b):
 def h2_moduli(spec, ctxs, label, monkeypatch) -> tuple[int, set[int]]:
     """hilbert2 under every prime of `ctxs`, and the moduli its passes ran modulo."""
     moduli, fold = set(), hilbert.fold
-    monkeypatch.setattr(hilbert, "fold", lambda rows, p, *args: moduli.add(p) or fold(rows, p, *args))
+    monkeypatch.setattr(hilbert, "fold", lambda rows, red, *args: moduli.add(red.p) or fold(rows, red, *args))
     return hilbert2(spec, ctxs, derive_rng(SEED, label)), moduli
 
 

@@ -170,7 +170,7 @@ class TestScan:
         rng = derive_rng(SEED, "scan-oracle")
         scan = min_defective_scan(spec, 2, ctxs, rng, trials=3)
         assert scan.first_defective is None
-        red = RowReducer(ctxs[0].p)
+        red = RowReducer(ctxs[0].p, spec.ambient + 1)
         oracle_chain = []
         for _ in range(3):
             pf = spec.sample(ctxs[0], derive_rng(SEED, "oracle", len(oracle_chain)))
@@ -343,7 +343,7 @@ def _gauss_rows_oracle(spec, cmap, first, ctx, rng):
     for _ in range(linalg.SAMPLE_RETRIES):
         t = [rng.randrange(p) for _ in range(c)]
         value, d1 = cmap.partial_rows(t, p)
-        tangent = linalg.fold([value] + d1, p)
+        tangent = linalg.fold([value] + d1, linalg.RowReducer(p, ncoords))
         if tangent.rank != n + 1:
             continue
         constraints = []

@@ -74,7 +74,7 @@ class TestSamplerContract:
                     pf = spec.sample(ctx, derive_rng(SEED, "zoo", name, ctx.p, s))
                     assert len(pf.frame) == spec.dim + 1, name
                     assert rank(pf.frame, ctx.p) == spec.dim + 1, name
-                    red = RowReducer(ctx.p)
+                    red = RowReducer(ctx.p, spec.ambient + 1)
                     for row in pf.frame:
                         red.add(row)
                     assert not any(red.residual(pf.point)), name

@@ -16,7 +16,8 @@ Every run starts from a fresh copy of its tree (no `.git`, bytecode or
 into either tree.  Each tree benchmarks itself with its own `perfbench/run.py`.
 
 The output has the layout of the repo's `BENCH_<tag>.json` files:
-`trace_seed_1` maps each workload to both trees' traced results; `runs` maps
+`library_lines` gives each tree's `wc -l src/secantry/*.py` (lines per file and
+their `total`); `trace_seed_1` maps each workload to both trees' traced results; `runs` maps
 it to its pairs (`seed`, `first`, and each tree's `attempted`, `correct`,
 `exit`, `failed` and `metrics`); `summary` maps it to, per end-to-end metric,
 both trees' medians and quartiles (`statistics.quantiles(n=4,
@@ -48,6 +49,13 @@ def fresh_copy(tree: Path, dest: Path) -> Path:
     """Copy `tree` to `dest` without `.git`, bytecode, `.perfbench` or `.pytest_cache`."""
     shutil.copytree(tree, dest, ignore=IGNORE)
     return dest
+
+
+def library_lines(tree: Path) -> dict[str, int]:
+    """`wc -l src/secantry/*.py` in `tree`: each file's newline count, and their `total`."""
+    counts = {p.name: p.read_bytes().count(b"\n")
+              for p in sorted((tree / "src" / "secantry").glob("*.py"))}
+    return {**counts, "total": sum(counts.values())}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -137,6 +145,7 @@ def main(argv: list[str]) -> int:
                  "parent first in even pairs and the change first in odd ones; every run starts "
                  "from a fresh copy of its tree without bytecode (PYTHONDONTWRITEBYTECODE=1); "
                  "quartiles by statistics.quantiles(n=4, method='inclusive')",
+        "library_lines": {side: library_lines(tree) for side, tree in trees.items()},
         "trace_seed_1": {}, "runs": {}, "summary": {},
     }
 

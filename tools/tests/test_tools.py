@@ -129,6 +129,21 @@ class TestFreshCopy:
                                                          "src/secantry/__pycache__"))
 
 
+class TestLibraryLines:
+    def test_counts_newlines_like_wc(self, tmp_path):
+        lib = tmp_path / "src" / "secantry"
+        lib.mkdir(parents=True)
+        (lib / "a.py").write_text("x = 1\n\ny = 2\n")
+        (lib / "b.py").write_text("z = 3")  # no final newline: wc -l counts 0
+        (lib / "notes.txt").write_text("not\ncounted\n")
+        (lib / "sub").mkdir()
+        (lib / "sub" / "c.py").write_text("not counted\n")
+        assert paired_runs.library_lines(tmp_path) == {"a.py": 3, "b.py": 0, "total": 3}
+
+    def test_a_tree_without_the_library(self, tmp_path):
+        assert paired_runs.library_lines(tmp_path) == {"total": 0}
+
+
 RESULT = {"attempted": 2, "correct": True, "failed": 0, "metrics": {"wall_s": metric(1.0, "s")}}
 
 
@@ -191,3 +206,4 @@ class TestRunOnce:
             (7, False, True), (8, True, True)]
         assert pairs[0]["change"]["exit"] == 0
         assert doc["summary"]["w"]["correct"] == {"change": False, "parent": True}
+        assert doc["library_lines"] == {"parent": {"total": 0}, "change": {"total": 0}}
